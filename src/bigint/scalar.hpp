@@ -1,39 +1,31 @@
 // Uniform scalar operations for the templated linear-algebra and Nullspace
-// Algorithm kernels.
+// Algorithm kernels.  This is the one module that knows the scalar types:
+// every other module tests, converts, measures and serialises kernel
+// scalars through the overloads below.
 //
-// Three scalar families are supported:
-//   CheckedI64 - fast exact path, throws OverflowError when it cannot
-//                represent a result (the solver retries with BigInt),
-//   BigInt     - always-exact fallback,
-//   double     - inexact comparison kernel (tolerance-based sign/zero tests),
-//                kept for arithmetic-ablation benches.
+// Two exact scalar families are supported:
+//   CheckedI64 - fast path, throws OverflowError when it cannot represent a
+//                result (compute_efms then reruns the whole solve in BigInt),
+//   BigInt     - always-exact fallback.
 #pragma once
 
-#include <cmath>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "bigint/bigint.hpp"
 #include "bigint/checked.hpp"
+#include "support/error.hpp"
 
 namespace elmo {
-
-/// Tolerance used by the double kernel for zero/sign decisions.  Matches the
-/// magnitude used by floating-point EFM implementations (efmtool uses 1e-10).
-inline constexpr double kDoubleZeroTol = 1e-9;
 
 // ---- is-zero ----
 inline bool scalar_is_zero(const CheckedI64& x) { return x.is_zero(); }
 inline bool scalar_is_zero(const BigInt& x) { return x.is_zero(); }
-inline bool scalar_is_zero(double x) { return std::fabs(x) < kDoubleZeroTol; }
 
 // ---- sign: -1 / 0 / +1 ----
 inline int scalar_sign(const CheckedI64& x) { return x.sign(); }
 inline int scalar_sign(const BigInt& x) { return x.sign(); }
-inline int scalar_sign(double x) {
-  if (std::fabs(x) < kDoubleZeroTol) return 0;
-  return x < 0 ? -1 : 1;
-}
 
 // ---- conversions ----
 inline CheckedI64 scalar_from_i64(std::int64_t v, const CheckedI64*) {
@@ -42,49 +34,86 @@ inline CheckedI64 scalar_from_i64(std::int64_t v, const CheckedI64*) {
 inline BigInt scalar_from_i64(std::int64_t v, const BigInt*) {
   return BigInt(v);
 }
-inline double scalar_from_i64(std::int64_t v, const double*) {
-  return static_cast<double>(v);
-}
 
 template <typename T>
 T scalar_from_i64(std::int64_t v) {
   return scalar_from_i64(v, static_cast<const T*>(nullptr));
 }
 
-// Exact conversion from the archival BigInt form (checkpoint records are
-// scalar-agnostic).  The CheckedI64 overload throws OverflowError when the
-// value does not fit, which rides the solver's existing BigInt fallback.
+// Exact conversion from the archival BigInt form (checkpoint records,
+// compression output, rational kernel bases).  The CheckedI64 overload
+// throws OverflowError when the value does not fit, which rides the
+// solver's BigInt fallback.
 inline CheckedI64 scalar_from_bigint(const BigInt& v, const CheckedI64*) {
   return CheckedI64(v.to_i64());
 }
 inline BigInt scalar_from_bigint(const BigInt& v, const BigInt*) { return v; }
-inline double scalar_from_bigint(const BigInt& v, const double*) {
-  return v.to_double();
-}
 
 template <typename T>
 T scalar_from_bigint(const BigInt& v) {
   return scalar_from_bigint(v, static_cast<const T*>(nullptr));
 }
 
+/// Exact widening to BigInt (result reporting, rank-test and audit
+/// fallbacks, rational elimination).
+inline BigInt scalar_to_bigint(const CheckedI64& x) {
+  return BigInt(x.value());
+}
+inline BigInt scalar_to_bigint(const BigInt& x) { return x; }
+
 inline double scalar_to_double(const CheckedI64& x) { return x.to_double(); }
 inline double scalar_to_double(const BigInt& x) { return x.to_double(); }
-inline double scalar_to_double(double x) { return x; }
 
 inline std::string scalar_to_string(const CheckedI64& x) {
   return x.to_string();
 }
 inline std::string scalar_to_string(const BigInt& x) { return x.to_string(); }
-inline std::string scalar_to_string(double x) { return std::to_string(x); }
 
-// ---- gcd (for column normalisation; 1.0 for double so it is a no-op) ----
+/// Heap bytes owned by the scalar beyond its inline size (memory
+/// accounting): none for CheckedI64, the limb buffer for BigInt.
+inline std::size_t scalar_heap_bytes(const CheckedI64&) { return 0; }
+inline std::size_t scalar_heap_bytes(const BigInt& x) {
+  return x.storage_bytes();
+}
+
+// ---- byte codec (spill blocks, mpsim payloads) ----
+// CheckedI64 encodes as a little-endian i64; BigInt as BigInt::serialize.
+inline void scalar_put(std::vector<std::uint8_t>& out, const CheckedI64& v) {
+  const auto u = static_cast<std::uint64_t>(v.value());
+  for (int b = 0; b < 8; ++b)
+    out.push_back(static_cast<std::uint8_t>(u >> (8 * b)));
+}
+inline void scalar_put(std::vector<std::uint8_t>& out, const BigInt& v) {
+  v.serialize(out);
+}
+
+/// Inverse of scalar_put; advances `cursor`.  Throws ParseError when the
+/// buffer ends before the scalar does.
+inline CheckedI64 scalar_get(const std::uint8_t*& cursor,
+                             const std::uint8_t* end, const CheckedI64*) {
+  if (end - cursor < 8) throw ParseError("scalar: truncated int64");
+  std::uint64_t u = 0;
+  for (int b = 0; b < 8; ++b)
+    u |= static_cast<std::uint64_t>(*cursor++) << (8 * b);
+  return CheckedI64(static_cast<std::int64_t>(u));
+}
+inline BigInt scalar_get(const std::uint8_t*& cursor, const std::uint8_t* end,
+                         const BigInt*) {
+  return BigInt::deserialize(cursor, end);
+}
+
+template <typename T>
+T scalar_get(const std::uint8_t*& cursor, const std::uint8_t* end) {
+  return scalar_get(cursor, end, static_cast<const T*>(nullptr));
+}
+
+// ---- gcd (for column normalisation) ----
 inline CheckedI64 scalar_gcd(const CheckedI64& a, const CheckedI64& b) {
   return CheckedI64::gcd(a, b);
 }
 inline BigInt scalar_gcd(const BigInt& a, const BigInt& b) {
   return BigInt::gcd(a, b);
 }
-inline double scalar_gcd(double, double) { return 1.0; }
 
 // ---- exact division (guaranteed-divisible in fraction-free elimination) --
 inline CheckedI64 scalar_exact_div(const CheckedI64& a, const CheckedI64& b) {
@@ -93,15 +122,9 @@ inline CheckedI64 scalar_exact_div(const CheckedI64& a, const CheckedI64& b) {
 inline BigInt scalar_exact_div(const BigInt& a, const BigInt& b) {
   return a.exact_div(b);
 }
-inline double scalar_exact_div(double a, double b) { return a / b; }
 
 // ---- abs ----
 inline CheckedI64 scalar_abs(const CheckedI64& x) { return x.abs(); }
 inline BigInt scalar_abs(const BigInt& x) { return x.abs(); }
-inline double scalar_abs(double x) { return std::fabs(x); }
-
-/// True iff T performs exact arithmetic (zero tests are precise).
-template <typename T>
-inline constexpr bool scalar_is_exact_v = !std::is_same_v<T, double>;
 
 }  // namespace elmo

@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "bigint/bigint.hpp"
+#include "bigint/scalar.hpp"
 #include "check/contracts.hpp"
 #include "linalg/matrix.hpp"
 #include "nullspace/flux_column.hpp"
@@ -111,10 +112,10 @@ std::vector<BigInt> exact_product(const Matrix<Scalar>& stoichiometry,
   Matrix<BigInt> wide(stoichiometry.rows(), stoichiometry.cols());
   for (std::size_t i = 0; i < stoichiometry.rows(); ++i)
     for (std::size_t j = 0; j < stoichiometry.cols(); ++j)
-      wide(i, j) = elmo::detail::to_bigint(stoichiometry(i, j));
+      wide(i, j) = scalar_to_bigint(stoichiometry(i, j));
   std::vector<BigInt> x;
   x.reserve(values.size());
-  for (const auto& v : values) x.push_back(elmo::detail::to_bigint(v));
+  for (const auto& v : values) x.push_back(scalar_to_bigint(v));
   return wide.multiply(x);
 }
 
@@ -137,29 +138,18 @@ class InvariantAuditor {
     for (std::size_t c = 0; c < columns.size(); ++c) {
       bool zero = true;
       std::size_t bad_row = 0;
-      if constexpr (std::is_same_v<Scalar, double>) {
-        auto y = stoichiometry.multiply(columns[c].values);
-        for (std::size_t i = 0; i < y.size() && zero; ++i) {
-          if (!scalar_is_zero(y[i])) {
-            zero = false;
-            bad_row = i;
-          }
-        }
-      } else {
-        std::vector<BigInt> y;
-        try {
-          auto narrow = stoichiometry.multiply(columns[c].values);
-          y.reserve(narrow.size());
-          for (const auto& v : narrow)
-            y.push_back(elmo::detail::to_bigint(v));
-        } catch (const OverflowError&) {
-          y = detail::exact_product(stoichiometry, columns[c].values);
-        }
-        for (std::size_t i = 0; i < y.size() && zero; ++i) {
-          if (!y[i].is_zero()) {
-            zero = false;
-            bad_row = i;
-          }
+      std::vector<BigInt> y;
+      try {
+        auto narrow = stoichiometry.multiply(columns[c].values);
+        y.reserve(narrow.size());
+        for (const auto& v : narrow) y.push_back(scalar_to_bigint(v));
+      } catch (const OverflowError&) {
+        y = detail::exact_product(stoichiometry, columns[c].values);
+      }
+      for (std::size_t i = 0; i < y.size() && zero; ++i) {
+        if (!y[i].is_zero()) {
+          zero = false;
+          bad_row = i;
         }
       }
       if (!zero) {

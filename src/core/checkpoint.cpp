@@ -1,5 +1,6 @@
 #include "core/checkpoint.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 
@@ -52,11 +53,21 @@ Payload encode_record(const CheckpointRecord& record) {
   return body;
 }
 
+/// A count read from a record, capped by how many items of at least
+/// `min_bytes` each the rest of the body can hold (9 per pattern entry, 8
+/// per mode, 5 per BigInt): a crafted count must not make reserve() throw
+/// or allocate beyond the file.
+std::size_t reserve_bound(std::uint64_t count, const std::uint8_t* cursor,
+                          const std::uint8_t* end, std::size_t min_bytes) {
+  const auto fit = static_cast<std::uint64_t>(end - cursor) / min_bytes;
+  return static_cast<std::size_t>(std::min(count, fit));
+}
+
 CheckpointRecord decode_record(const std::uint8_t* cursor,
                                const std::uint8_t* end) {
   CheckpointRecord record;
   const std::uint64_t pattern_count = get_u64(cursor, end);
-  record.pattern.reserve(pattern_count);
+  record.pattern.reserve(reserve_bound(pattern_count, cursor, end, 9));
   for (std::uint64_t i = 0; i < pattern_count; ++i) {
     const std::uint64_t row = get_u64(cursor, end);
     if (cursor == end) throw ParseError("checkpoint: truncated pattern");
@@ -67,11 +78,11 @@ CheckpointRecord decode_record(const std::uint8_t* cursor,
   record.extra_splits = get_u64(cursor, end);
   record.attempts = get_u64(cursor, end);
   const std::uint64_t mode_count = get_u64(cursor, end);
-  record.modes.reserve(mode_count);
+  record.modes.reserve(reserve_bound(mode_count, cursor, end, 8));
   for (std::uint64_t m = 0; m < mode_count; ++m) {
     const std::uint64_t length = get_u64(cursor, end);
     std::vector<BigInt> mode;
-    mode.reserve(length);
+    mode.reserve(reserve_bound(length, cursor, end, 5));
     for (std::uint64_t v = 0; v < length; ++v)
       mode.push_back(BigInt::deserialize(cursor, end));
     record.modes.push_back(std::move(mode));
@@ -140,7 +151,9 @@ std::vector<CheckpointRecord> parse_checkpoint(
       body_size |= static_cast<std::uint64_t>(bytes[offset + static_cast<std::size_t>(b)])
                    << (8 * b);
     offset += 8;
-    if (bytes.size() - offset < body_size + 4) break;
+    // Compare without forming body_size + 4, which a crafted size wraps.
+    const std::size_t remaining = bytes.size() - offset;
+    if (remaining < 4 || body_size > remaining - 4) break;
     const std::uint8_t* body = bytes.data() + offset;
     std::uint32_t stored = 0;
     for (int b = 0; b < 4; ++b)

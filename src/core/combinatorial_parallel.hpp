@@ -122,19 +122,17 @@ ParallelSolveResult<Scalar, Support> solve_combinatorial_parallel(
     std::vector<SparseRankTester<Scalar>> sparse_testers;
     bool use_modular = false;
     bool use_sparse = false;
-    if constexpr (!std::is_same_v<Scalar, double>) {
-      if (solver_options.test == ElementarityTest::kRank) {
-        if (solver_options.rank_backend == RankTestBackend::kSparse) {
-          for (int t = 0; t < threads_per_rank; ++t)
-            sparse_testers.emplace_back(prepared.problem.stoichiometry,
-                                        basis.columns);
-          use_sparse = true;
-        } else if (solver_options.rank_backend == RankTestBackend::kModular) {
-          for (int t = 0; t < threads_per_rank; ++t)
-            modular_testers.emplace_back(prepared.problem.stoichiometry,
-                                         basis.columns);
-          use_modular = true;
-        }
+    if (solver_options.test == ElementarityTest::kRank) {
+      if (solver_options.rank_backend == RankTestBackend::kSparse) {
+        for (int t = 0; t < threads_per_rank; ++t)
+          sparse_testers.emplace_back(prepared.problem.stoichiometry,
+                                      basis.columns);
+        use_sparse = true;
+      } else if (solver_options.rank_backend == RankTestBackend::kModular) {
+        for (int t = 0; t < threads_per_rank; ++t)
+          modular_testers.emplace_back(prepared.problem.stoichiometry,
+                                       basis.columns);
+        use_modular = true;
       }
     }
     std::optional<ThreadPool> pool;

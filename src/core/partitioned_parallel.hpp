@@ -109,14 +109,12 @@ PartitionedSolveResult<Scalar, Support> solve_partitioned_parallel(
     std::optional<SparseRankTester<Scalar>> sparse_tester;
     bool use_modular = false;
     bool use_sparse = false;
-    if constexpr (!std::is_same_v<Scalar, double>) {
-      if (solver_options.rank_backend == RankTestBackend::kModular) {
-        modular_tester.emplace(prepared.problem.stoichiometry, basis.columns);
-        use_modular = true;
-      } else if (solver_options.rank_backend == RankTestBackend::kSparse) {
-        sparse_tester.emplace(prepared.problem.stoichiometry, basis.columns);
-        use_sparse = true;
-      }
+    if (solver_options.rank_backend == RankTestBackend::kModular) {
+      modular_tester.emplace(prepared.problem.stoichiometry, basis.columns);
+      use_modular = true;
+    } else if (solver_options.rank_backend == RankTestBackend::kSparse) {
+      sparse_tester.emplace(prepared.problem.stoichiometry, basis.columns);
+      use_sparse = true;
     }
     auto is_elementary = [&](const Support& support) -> bool {
       if (use_sparse) return sparse_tester->is_elementary(support);

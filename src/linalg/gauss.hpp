@@ -1,4 +1,5 @@
-// Exact Gaussian elimination algorithms.
+// Exact Gaussian elimination algorithms over the scalars of
+// bigint/scalar.hpp (CheckedI64, BigInt) and their rationals.
 //
 //  * rref             - Gauss-Jordan over a field scalar (Rational), with a
 //                       caller-supplied column pivot order so the caller
@@ -80,8 +81,7 @@ RrefResult rref(Matrix<Field>& a) {
 ///
 /// Works on a copy; Int must be an exact integer scalar (CheckedI64 throws
 /// OverflowError if intermediate minors exceed 64 bits — callers retry with
-/// BigInt).  Double is also accepted, in which case the zero tests are
-/// tolerance-based and the result is a numerical rank.
+/// BigInt).
 template <typename Int>
 std::size_t rank_bareiss(Matrix<Int> a) {
   const std::size_t rows = a.rows();

@@ -53,14 +53,4 @@ Int make_primitive(std::vector<Int>& v) {
   return g;
 }
 
-/// Specialisation of make_primitive for the double kernel: normalise by the
-/// largest absolute entry to keep magnitudes near 1 (no gcd exists).
-inline double make_primitive(std::vector<double>& v) {
-  double max_abs = 0.0;
-  for (double x : v) max_abs = std::max(max_abs, std::fabs(x));
-  if (max_abs == 0.0) return 0.0;
-  for (auto& x : v) x /= max_abs;
-  return max_abs;
-}
-
 }  // namespace elmo

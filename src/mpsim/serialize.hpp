@@ -15,8 +15,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "bigint/bigint.hpp"
-#include "bigint/checked.hpp"
 #include "bigint/scalar.hpp"
 #include "bitset/bitset64.hpp"
 #include "bitset/dynbitset.hpp"
@@ -93,32 +91,6 @@ inline std::uint64_t get_u64(const std::uint8_t*& cursor,
   return v;
 }
 
-// ---- scalar encoding ----
-inline void put_scalar(Payload& out, const CheckedI64& v) {
-  put_u64(out, static_cast<std::uint64_t>(v.value()));
-}
-inline void put_scalar(Payload& out, const BigInt& v) { v.serialize(out); }
-inline void put_scalar(Payload& out, double v) {
-  std::uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  __builtin_memcpy(&bits, &v, sizeof(bits));
-  put_u64(out, bits);
-}
-
-inline void get_scalar(const std::uint8_t*& cursor, const std::uint8_t* end,
-                       CheckedI64& v) {
-  v = CheckedI64(static_cast<std::int64_t>(get_u64(cursor, end)));
-}
-inline void get_scalar(const std::uint8_t*& cursor, const std::uint8_t* end,
-                       BigInt& v) {
-  v = BigInt::deserialize(cursor, end);
-}
-inline void get_scalar(const std::uint8_t*& cursor, const std::uint8_t* end,
-                       double& v) {
-  std::uint64_t bits = get_u64(cursor, end);
-  __builtin_memcpy(&v, &bits, sizeof(v));
-}
-
 // ---- support encoding ----
 inline void put_support(Payload& out, const Bitset64& s) {
   put_u64(out, s.word());
@@ -149,7 +121,7 @@ Payload encode_columns(const std::vector<FluxColumn<Scalar, Support>>& columns) 
   for (const auto& column : columns) {
     detail::put_support(out, column.support);
     detail::put_u64(out, column.values.size());
-    for (const auto& value : column.values) detail::put_scalar(out, value);
+    for (const auto& value : column.values) scalar_put(out, value);
   }
   append_crc32(out);
   return out;
@@ -171,8 +143,7 @@ std::vector<FluxColumn<Scalar, Support>> decode_columns(
     detail::get_support(cursor, end, column.support);
     const std::uint64_t size = detail::get_u64(cursor, end);
     column.values.resize(size);
-    for (auto& value : column.values)
-      detail::get_scalar(cursor, end, value);
+    for (auto& value : column.values) value = scalar_get<Scalar>(cursor, end);
     columns.push_back(std::move(column));
   }
   if (cursor != end)

@@ -12,46 +12,10 @@
 #include <algorithm>
 #include <vector>
 
-#include <cmath>
-
 #include "bigint/bigint.hpp"
 #include "nullspace/flux_column.hpp"
-#include "support/error.hpp"
 
 namespace elmo {
-
-namespace detail {
-
-/// Rescale a double mode (normalised to max-abs 1 by the double kernel) to
-/// small integers.  Searches multipliers k/min|v| for k = 1..64; throws
-/// InternalError if no integer scaling fits, which signals the double
-/// kernel drifted too far for exact reporting.
-inline std::vector<std::int64_t> double_mode_to_integers(
-    const std::vector<double>& values) {
-  double min_abs = 0.0;
-  for (double v : values) {
-    double a = std::fabs(v);
-    if (a > kDoubleZeroTol && (min_abs == 0.0 || a < min_abs)) min_abs = a;
-  }
-  if (min_abs == 0.0) return std::vector<std::int64_t>(values.size(), 0);
-  for (int k = 1; k <= 64; ++k) {
-    const double scale = static_cast<double>(k) / min_abs;
-    bool ok = true;
-    std::vector<std::int64_t> out(values.size(), 0);
-    for (std::size_t i = 0; i < values.size() && ok; ++i) {
-      double scaled = values[i] * scale;
-      double rounded = std::round(scaled);
-      if (std::fabs(scaled - rounded) > 1e-6 * std::max(1.0, std::fabs(scaled)))
-        ok = false;
-      out[i] = static_cast<std::int64_t>(rounded);
-    }
-    if (ok) return out;
-  }
-  throw InternalError(
-      "double kernel mode has no small integer scaling; use an exact kernel");
-}
-
-}  // namespace detail
 
 /// Convert solver columns to BigInt flux vectors (reduced reaction space).
 template <typename Scalar, typename Support>
@@ -62,21 +26,8 @@ std::vector<std::vector<BigInt>> columns_to_bigint(
   for (const auto& column : columns) {
     std::vector<BigInt> mode;
     mode.reserve(column.values.size());
-    if constexpr (std::is_same_v<Scalar, double>) {
-      // The double kernel normalises by max-abs; recover the primitive
-      // integer ray.  Exactness is not guaranteed for the double kernel;
-      // it is intended for small networks and the arithmetic ablation.
-      for (auto v : detail::double_mode_to_integers(column.values))
-        mode.emplace_back(v);
-    } else {
-      for (const auto& value : column.values) {
-        if constexpr (std::is_same_v<Scalar, BigInt>) {
-          mode.push_back(value);
-        } else {
-          mode.push_back(BigInt(value.value()));
-        }
-      }
-    }
+    for (const auto& value : column.values)
+      mode.push_back(scalar_to_bigint(value));
     out.push_back(std::move(mode));
   }
   return out;

@@ -45,9 +45,7 @@ struct FluxColumn {
   /// Approximate heap bytes held by this column (memory accounting).
   [[nodiscard]] std::size_t storage_bytes() const {
     std::size_t bytes = values.capacity() * sizeof(Scalar);
-    if constexpr (std::is_same_v<Scalar, BigInt>) {
-      for (const auto& v : values) bytes += v.storage_bytes();
-    }
+    for (const auto& v : values) bytes += scalar_heap_bytes(v);
     bytes += support.storage_bytes();
     return bytes;
   }
@@ -55,15 +53,13 @@ struct FluxColumn {
   /// Ordering for sort-based duplicate removal: by support pattern first
   /// (the paper's "sort by binary representation"), then by values so the
   /// comparison is a strict weak order even for non-proportional twins.
-  friend std::partial_ordering operator<=>(const FluxColumn& a,
-                                           const FluxColumn& b) {
-    // partial_ordering only because the double kernel's scalar compares
-    // partially; the exact kernels order totally (and never produce NaN).
+  friend std::strong_ordering operator<=>(const FluxColumn& a,
+                                          const FluxColumn& b) {
     if (auto cmp = a.support <=> b.support; cmp != 0) return cmp;
     for (std::size_t i = 0; i < a.values.size(); ++i) {
       if (auto cmp = a.values[i] <=> b.values[i]; cmp != 0) return cmp;
     }
-    return std::partial_ordering::equivalent;
+    return std::strong_ordering::equal;
   }
   friend bool operator==(const FluxColumn& a, const FluxColumn& b) {
     return a.support == b.support && a.values == b.values;

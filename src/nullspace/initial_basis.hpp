@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "bigint/bigint.hpp"
 #include "bigint/rational.hpp"
 #include "linalg/gauss.hpp"
 #include "linalg/matrix.hpp"
@@ -62,50 +61,34 @@ inline std::vector<std::size_t> pivot_preference(
   return order;
 }
 
+/// An exact scalar matrix over the rationals, for exact elimination.
+template <typename Scalar>
+Matrix<BigRational> to_rational_matrix(const Matrix<Scalar>& a) {
+  Matrix<BigRational> rat(a.rows(), a.cols());
+  for (std::size_t i = 0; i < a.rows(); ++i)
+    for (std::size_t j = 0; j < a.cols(); ++j)
+      rat(i, j) = BigRational(scalar_to_bigint(a(i, j)));
+  return rat;
+}
+
 /// Kernel basis columns as primitive integer vectors in Scalar, plus the
-/// free-column set.
+/// free-column set.  The basis is computed in rationals, then each column
+/// is scaled to primitive integers (CheckedI64 may throw OverflowError).
 template <typename Scalar>
 std::pair<std::vector<std::vector<Scalar>>, std::vector<std::size_t>>
 kernel_columns(const Matrix<Scalar>& stoich,
                const std::vector<std::size_t>& col_order) {
+  auto [basis, free_cols] =
+      nullspace_basis(to_rational_matrix(stoich), col_order);
   std::vector<std::vector<Scalar>> columns;
-  std::vector<std::size_t> free_cols;
-  if constexpr (std::is_same_v<Scalar, double>) {
-    auto [basis, frees] = nullspace_basis(stoich, col_order);
-    for (std::size_t c = 0; c < basis.cols(); ++c) {
-      std::vector<double> v(basis.rows());
-      for (std::size_t i = 0; i < basis.rows(); ++i) v[i] = basis(i, c);
-      make_primitive(v);
-      columns.push_back(std::move(v));
-    }
-    free_cols = std::move(frees);
-  } else {
-    // Exact path: rationals, then scale each column to primitive integers.
-    Matrix<BigRational> rat(stoich.rows(), stoich.cols());
-    for (std::size_t i = 0; i < stoich.rows(); ++i)
-      for (std::size_t j = 0; j < stoich.cols(); ++j) {
-        if constexpr (std::is_same_v<Scalar, BigInt>) {
-          rat(i, j) = BigRational(stoich(i, j));
-        } else {
-          rat(i, j) = BigRational(BigInt(stoich(i, j).value()));
-        }
-      }
-    auto [basis, frees] = nullspace_basis(rat, col_order);
-    for (std::size_t c = 0; c < basis.cols(); ++c) {
-      std::vector<BigRational> v(basis.rows());
-      for (std::size_t i = 0; i < basis.rows(); ++i) v[i] = basis(i, c);
-      auto ints = to_primitive_integer(v);
-      std::vector<Scalar> out(ints.size());
-      for (std::size_t i = 0; i < ints.size(); ++i) {
-        if constexpr (std::is_same_v<Scalar, BigInt>) {
-          out[i] = std::move(ints[i]);
-        } else {
-          out[i] = Scalar(ints[i].to_i64());  // may throw OverflowError
-        }
-      }
-      columns.push_back(std::move(out));
-    }
-    free_cols = std::move(frees);
+  for (std::size_t c = 0; c < basis.cols(); ++c) {
+    std::vector<BigRational> v(basis.rows());
+    for (std::size_t i = 0; i < basis.rows(); ++i) v[i] = basis(i, c);
+    std::vector<Scalar> out;
+    out.reserve(v.size());
+    for (const auto& x : to_primitive_integer(v))
+      out.push_back(scalar_from_bigint<Scalar>(x));
+    columns.push_back(std::move(out));
   }
   return {std::move(columns), std::move(free_cols)};
 }

@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "bigint/bigint.hpp"
 #include "bigint/scalar.hpp"
 #include "compress/compression.hpp"
 #include "linalg/matrix.hpp"
@@ -41,15 +40,8 @@ EfmProblem<Scalar> to_problem(const CompressedProblem& compressed) {
   const auto& n = compressed.stoichiometry;
   problem.stoichiometry = Matrix<Scalar>(n.rows(), n.cols());
   for (std::size_t i = 0; i < n.rows(); ++i)
-    for (std::size_t j = 0; j < n.cols(); ++j) {
-      if constexpr (std::is_same_v<Scalar, BigInt>) {
-        problem.stoichiometry(i, j) = n(i, j);
-      } else if constexpr (std::is_same_v<Scalar, double>) {
-        problem.stoichiometry(i, j) = n(i, j).to_double();
-      } else {
-        problem.stoichiometry(i, j) = Scalar(n(i, j).to_i64());
-      }
-    }
+    for (std::size_t j = 0; j < n.cols(); ++j)
+      problem.stoichiometry(i, j) = scalar_from_bigint<Scalar>(n(i, j));
   problem.reversible = compressed.reversible;
   problem.reaction_names = compressed.reaction_names;
   return problem;

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "bigint/bigint.hpp"
-#include "bigint/checked.hpp"
 #include "bigint/scalar.hpp"
 #include "linalg/gauss.hpp"
 #include "linalg/matrix.hpp"
@@ -27,13 +26,6 @@
 #include "support/error.hpp"
 
 namespace elmo {
-
-namespace detail {
-
-inline BigInt to_bigint(const CheckedI64& v) { return BigInt(v.value()); }
-inline BigInt to_bigint(const BigInt& v) { return v; }
-
-}  // namespace detail
 
 template <typename Scalar>
 class RankTester {
@@ -60,19 +52,15 @@ class RankTester {
       for (std::size_t j = 0; j < s; ++j) sub(i, j) = row[indices_[j]];
     }
     std::size_t rank;
-    if constexpr (std::is_same_v<Scalar, double>) {
-      rank = rank_bareiss(std::move(sub));
-    } else {
-      try {
-        rank = rank_bareiss(sub);
-      } catch (const OverflowError&) {
-        // Per-candidate exact fallback: redo this one test in BigInt.
-        Matrix<BigInt> wide(sub.rows(), sub.cols());
-        for (std::size_t i = 0; i < sub.rows(); ++i)
-          for (std::size_t j = 0; j < sub.cols(); ++j)
-            wide(i, j) = detail::to_bigint(sub(i, j));
-        rank = rank_bareiss(std::move(wide));
-      }
+    try {
+      rank = rank_bareiss(sub);
+    } catch (const OverflowError&) {
+      // Per-candidate exact fallback: redo this one test in BigInt.
+      Matrix<BigInt> wide(sub.rows(), sub.cols());
+      for (std::size_t i = 0; i < sub.rows(); ++i)
+        for (std::size_t j = 0; j < sub.cols(); ++j)
+          wide(i, j) = scalar_to_bigint(sub(i, j));
+      rank = rank_bareiss(std::move(wide));
     }
     return s - rank == 1;
   }

@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "bigint/bigint.hpp"
 #include "bigint/rational.hpp"
 #include "linalg/gauss.hpp"
 #include "linalg/matrix.hpp"
@@ -49,20 +48,7 @@ PreparedProblem<Scalar> prepare_problem(const EfmProblem<Scalar>& problem) {
 
   // Run the same pivot-preference elimination the initial basis will use;
   // a reversible reaction left free must be split.
-  Matrix<BigRational> rat(problem.stoichiometry.rows(),
-                          problem.stoichiometry.cols());
-  for (std::size_t i = 0; i < rat.rows(); ++i)
-    for (std::size_t j = 0; j < rat.cols(); ++j) {
-      if constexpr (std::is_same_v<Scalar, BigInt>) {
-        rat(i, j) = BigRational(problem.stoichiometry(i, j));
-      } else if constexpr (std::is_same_v<Scalar, double>) {
-        // The double kernel is only used on integer-valued problems.
-        rat(i, j) = BigRational(BigInt(
-            static_cast<std::int64_t>(problem.stoichiometry(i, j))));
-      } else {
-        rat(i, j) = BigRational(BigInt(problem.stoichiometry(i, j).value()));
-      }
-    }
+  auto rat = detail::to_rational_matrix(problem.stoichiometry);
   auto order = detail::pivot_preference(problem.reversible);
   auto echelon = rref(rat, order);
   std::vector<bool> is_pivot(problem.num_reactions(), false);

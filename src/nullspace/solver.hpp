@@ -113,20 +113,18 @@ SolveResult<Scalar, Support> solve_nullspace(const EfmProblem<Scalar>& problem,
 
   RankTester<Scalar> exact_tester(problem.stoichiometry);
   // The modular testers need the initial kernel basis (for their K-side
-  // formulation); they only exist for exact scalars.
+  // formulation).
   std::optional<ModularRankTester<Scalar>> modular_tester;
   std::optional<SparseRankTester<Scalar>> sparse_tester;
   bool use_modular = false;
   bool use_sparse = false;
-  if constexpr (!std::is_same_v<Scalar, double>) {
-    if (options.test == ElementarityTest::kRank) {
-      if (options.rank_backend == RankTestBackend::kSparse) {
-        sparse_tester.emplace(problem.stoichiometry, basis.columns);
-        use_sparse = true;
-      } else if (options.rank_backend == RankTestBackend::kModular) {
-        modular_tester.emplace(problem.stoichiometry, basis.columns);
-        use_modular = true;
-      }
+  if (options.test == ElementarityTest::kRank) {
+    if (options.rank_backend == RankTestBackend::kSparse) {
+      sparse_tester.emplace(problem.stoichiometry, basis.columns);
+      use_sparse = true;
+    } else if (options.rank_backend == RankTestBackend::kModular) {
+      modular_tester.emplace(problem.stoichiometry, basis.columns);
+      use_modular = true;
     }
   }
   result.columns = std::move(basis.columns);

@@ -12,14 +12,13 @@
 //
 // Serialization is value-only: supports are recomputed by
 // FluxColumn::from_values on read-back (values are already primitive, so
-// the round trip is bit-exact).  Scalars encode as little-endian i64
-// (CheckedI64), the BigInt wire format, or raw IEEE bits (double kernel).
+// the round trip is bit-exact).  Scalars use the shared scalar_put/
+// scalar_get codec (bigint/scalar.hpp), the same bytes mpsim messages carry.
 #pragma once
 
-#include <cstring>
 #include <vector>
 
-#include "bigint/bigint.hpp"
+#include "bigint/scalar.hpp"
 #include "nullspace/flux_column.hpp"
 #include "nullspace/iteration.hpp"
 #include "nullspace/pairgen.hpp"
@@ -47,41 +46,6 @@ inline std::uint32_t spill_get_u32(const std::uint8_t*& cursor,
   return v;
 }
 
-template <typename Scalar>
-void spill_put_scalar(std::vector<std::uint8_t>& out, const Scalar& v) {
-  if constexpr (std::is_same_v<Scalar, BigInt>) {
-    v.serialize(out);
-  } else if constexpr (std::is_same_v<Scalar, double>) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    for (int i = 0; i < 8; ++i)
-      out.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
-  } else {
-    const auto u = static_cast<std::uint64_t>(v.value());
-    for (int i = 0; i < 8; ++i)
-      out.push_back(static_cast<std::uint8_t>(u >> (8 * i)));
-  }
-}
-
-template <typename Scalar>
-Scalar spill_get_scalar(const std::uint8_t*& cursor, const std::uint8_t* end) {
-  if constexpr (std::is_same_v<Scalar, BigInt>) {
-    return BigInt::deserialize(cursor, end);
-  } else {
-    if (end - cursor < 8) throw ParseError("spill block: truncated scalar");
-    std::uint64_t bits = 0;
-    for (int i = 7; i >= 0; --i) bits = (bits << 8) | cursor[i];
-    cursor += 8;
-    if constexpr (std::is_same_v<Scalar, double>) {
-      double v;
-      std::memcpy(&v, &bits, sizeof(v));
-      return v;
-    } else {
-      return scalar_from_i64<Scalar>(static_cast<std::int64_t>(bits));
-    }
-  }
-}
-
 }  // namespace detail
 
 /// Serialize a batch of columns into one spill-block body (values only).
@@ -93,7 +57,7 @@ std::vector<std::uint8_t> encode_spill_block(
   for (const auto& column : columns) {
     detail::spill_put_u32(out,
                           static_cast<std::uint32_t>(column.values.size()));
-    for (const auto& v : column.values) detail::spill_put_scalar(out, v);
+    for (const auto& v : column.values) scalar_put(out, v);
   }
   return out;
 }
@@ -111,7 +75,7 @@ void decode_spill_block(const std::vector<std::uint8_t>& body,
     std::vector<Scalar> values;
     values.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i)
-      values.push_back(detail::spill_get_scalar<Scalar>(cursor, end));
+      values.push_back(scalar_get<Scalar>(cursor, end));
     out.push_back(FluxColumn<Scalar, Support>::from_values(std::move(values)));
   }
   if (cursor != end)

@@ -19,6 +19,7 @@
 #include "models/toy.hpp"
 #include "models/yeast.hpp"
 #include "mpsim/fault.hpp"
+#include "mpsim/serialize.hpp"
 #include "nullspace/efm.hpp"
 
 namespace elmo {
@@ -360,6 +361,63 @@ EfmOptions yeast_checkpoint_options(const std::string& checkpoint_path) {
   options.qsub = 2;
   options.checkpoint_path = checkpoint_path;
   return options;
+}
+
+void put_le(std::string& out, std::uint64_t v, int bytes) {
+  for (int b = 0; b < bytes; ++b)
+    out.push_back(static_cast<char>((v >> (8 * b)) & 0xFF));
+}
+
+/// Write one valid record followed by a crafted `tail`.  Loading must
+/// return the valid prefix (no crash, no escaping exception), and repair
+/// must trim exactly the tail.
+void expect_prefix_recovered(const std::string& path, const std::string& tail) {
+  CheckpointRecord valid;
+  valid.pattern = {{2, true}};
+  valid.modes = {{BigInt(1), BigInt(0), BigInt(-3)}};
+  append_checkpoint_record(path, valid);
+  const std::string prefix = read_file_bytes(path);
+  write_file_bytes(path, prefix + tail);
+
+  std::vector<CheckpointRecord> records;
+  ASSERT_NO_THROW(records = load_checkpoint(path));
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].modes, valid.modes);
+  EXPECT_EQ(repair_checkpoint(path), tail.size());
+  EXPECT_EQ(read_file_bytes(path), prefix);
+}
+
+TEST(Checkpoint, FrameSizeThatWrapsIsTailDamage) {
+  // u64 frame size 0xFFFF...FF then 4 bytes: size + 4 wraps to 3, so a
+  // bound check on that sum passes and the CRC reads past the buffer.
+  std::string tail;
+  put_le(tail, ~std::uint64_t{0}, 8);
+  put_le(tail, 0, 4);
+  ScratchFile file("ckpt_wrap.bin");
+  expect_prefix_recovered(file.path(), tail);
+
+  // The bare 20-byte file: magic, the wrapping size, 4 bytes.
+  ScratchFile bare("ckpt_wrap_bare.bin");
+  write_file_bytes(bare.path(), "ELMOCKP1" + tail);
+  std::vector<CheckpointRecord> records;
+  ASSERT_NO_THROW(records = load_checkpoint(bare.path()));
+  EXPECT_TRUE(records.empty());
+  EXPECT_EQ(repair_checkpoint(bare.path()), 12u);
+  EXPECT_EQ(read_file_bytes(bare.path()), "ELMOCKP1");
+}
+
+TEST(Checkpoint, HugeCountWithValidCrcIsTailDamage) {
+  // A CRC-valid frame whose pattern_count is 2^62: reserve(pattern_count)
+  // would throw std::length_error, which is not a ParseError.
+  std::string body;
+  put_le(body, std::uint64_t{1} << 62, 8);
+  std::vector<std::uint8_t> raw(body.begin(), body.end());
+  std::string tail;
+  put_le(tail, body.size(), 8);
+  tail += body;
+  put_le(tail, mpsim::crc32(raw.data(), raw.size()), 4);
+  ScratchFile file("ckpt_huge_count.bin");
+  expect_prefix_recovered(file.path(), tail);
 }
 
 TEST(Checkpoint, ResumeFromZeroLengthFileRecomputesEverything) {

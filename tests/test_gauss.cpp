@@ -75,17 +75,14 @@ TEST(RankBareiss, AgreesAcrossScalars) {
     std::size_t cols = 1 + rng.below(6);
     IMat mi(rows, cols);
     Matrix<BigInt> mb(rows, cols);
-    Matrix<double> md(rows, cols);
     for (std::size_t i = 0; i < rows; ++i)
       for (std::size_t j = 0; j < cols; ++j) {
         std::int64_t v = rng.range(-4, 4);
         mi(i, j) = CheckedI64(v);
         mb(i, j) = BigInt(v);
-        md(i, j) = static_cast<double>(v);
       }
     std::size_t ri = rank_bareiss(mi);
     EXPECT_EQ(ri, rank_bareiss(mb));
-    EXPECT_EQ(ri, rank_bareiss(md));
   }
 }
 
@@ -169,13 +166,6 @@ TEST(Scale, MakePrimitive) {
   std::vector<CheckedI64> w = {CheckedI64(2), CheckedI64(3)};
   make_primitive(w);
   EXPECT_EQ(w[0].value(), 2);
-}
-
-TEST(Scale, MakePrimitiveDouble) {
-  std::vector<double> v = {0.5, -2.0, 1.0};
-  make_primitive(v);
-  EXPECT_DOUBLE_EQ(v[1], -1.0);
-  EXPECT_DOUBLE_EQ(v[0], 0.25);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <fstream>
 #include <memory>
 #include <mutex>
@@ -21,6 +22,7 @@
 #include "models/toy.hpp"
 #include "models/yeast.hpp"
 #include "mpsim/fault.hpp"
+#include "mpsim/serialize.hpp"
 #include "nullspace/spill.hpp"
 #include "resource/shutdown.hpp"
 #include "resource/spill.hpp"
@@ -170,39 +172,62 @@ TEST(Spill, CorruptedBlockIsDetectedNotDecoded) {
 // ---------------------------------------------------------------------------
 // Column codec.
 
-using Col = FluxColumn<CheckedI64, Bitset64>;
-
-TEST(Spill, ColumnCodecRoundTripIsValueExact) {
-  std::vector<Col> columns;
-  columns.push_back(Col::from_values(
-      {CheckedI64(1), CheckedI64(0), CheckedI64(-7), CheckedI64(42)}));
-  columns.push_back(Col::from_values(
-      {CheckedI64(0), CheckedI64(123456789), CheckedI64(-1), CheckedI64(0)}));
+/// Round-trip a batch of primitive columns through the spill codec, check
+/// that damage (a trailing byte, a body cut short by one byte) is a
+/// ParseError, and check that each column's scalar bytes are exactly those
+/// of the mpsim message codec (both use scalar_put).
+template <typename Scalar>
+void check_spill_codec(const std::vector<std::vector<Scalar>>& batch) {
+  using Column = FluxColumn<Scalar, Bitset64>;
+  std::vector<Column> columns;
+  for (const auto& values : batch) {
+    columns.push_back(Column::from_values(values));
+    ASSERT_EQ(columns.back().values, values) << "test values must be primitive";
+  }
   auto body = encode_spill_block(columns);
-  std::vector<Col> decoded;
+  std::vector<Column> decoded;
   decode_spill_block(body, decoded);
   ASSERT_EQ(decoded.size(), columns.size());
   for (std::size_t i = 0; i < columns.size(); ++i) {
     EXPECT_EQ(decoded[i].values, columns[i].values);
     EXPECT_EQ(decoded[i].support, columns[i].support);  // recomputed
   }
-  // Damage surfaces as a parse error, not garbage columns.
-  body.push_back(0);
-  std::vector<Col> trailing;
-  EXPECT_THROW(decode_spill_block(body, trailing), ParseError);
+
+  auto trailing = body;
+  trailing.push_back(0);
+  std::vector<Column> rejected;
+  EXPECT_THROW(decode_spill_block(trailing, rejected), ParseError);
+  auto truncated = body;
+  truncated.pop_back();
+  EXPECT_THROW(decode_spill_block(truncated, rejected), ParseError);
+
+  // Spill: u32 count, u32 length, scalars.  mpsim: u64 count, u64 support
+  // word, u64 length, scalars, u32 CRC.
+  for (const auto& column : columns) {
+    const auto spill = encode_spill_block(std::vector<Column>{column});
+    const auto message = mpsim::encode_columns(std::vector<Column>{column});
+    EXPECT_EQ(std::vector<std::uint8_t>(spill.begin() + 8, spill.end()),
+              std::vector<std::uint8_t>(message.begin() + 24,
+                                        message.end() - 4));
+  }
+}
+
+TEST(Spill, ColumnCodecRoundTripIsValueExact) {
+  using I = CheckedI64;
+  // -1 leads the extremes column: make_primitive stops at gcd 1 before it
+  // meets INT64_MIN, whose absolute value CheckedI64 cannot form.
+  check_spill_codec<I>({{I(1), I(0), I(-7), I(42)},
+                        {I(0), I(123456789), I(-1), I(0)},
+                        {I(-1), I(INT64_MIN), I(0), I(INT64_MAX)}});
 }
 
 TEST(Spill, BigIntCodecRoundTrip) {
-  using BigCol = FluxColumn<BigInt, Bitset64>;
-  std::vector<BigCol> columns;
-  columns.push_back(BigCol::from_values(
-      {BigInt::from_string("-123456789012345678901234567890"), BigInt(0),
-       BigInt(7)}));
-  auto body = encode_spill_block(columns);
-  std::vector<BigCol> decoded;
-  decode_spill_block(body, decoded);
-  ASSERT_EQ(decoded.size(), 1u);
-  EXPECT_EQ(decoded[0].values, columns[0].values);
+  check_spill_codec<BigInt>(
+      {{BigInt::from_string("-123456789012345678901234567890"), BigInt(0),
+        BigInt(11)},
+       {BigInt::from_string("-340282366920938463463374607431768211457"),
+        BigInt(0), BigInt::from_string("18446744073709551617"), BigInt(-1),
+        BigInt(INT64_MIN)}});
 }
 
 // ---------------------------------------------------------------------------
