@@ -4,15 +4,21 @@
 #include <utility>
 
 #include "bigint/bigint.hpp"
+#include "bigint/checked.hpp"
+#include "bigint/rational.hpp"
+#include "bigint/scalar.hpp"
 #include "linalg/gauss.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/scale.hpp"
 #include "network/network.hpp"
 #include "support/assert.hpp"
+#include "support/error.hpp"
 
 namespace elmo {
 
 namespace {
+
+constexpr std::size_t kRemoved = ReconstructionMap::kRemoved;
 
 /// Mutable working state during compression.  Columns/rows are erased by
 /// rebuilding the vectors; sizes here are small (tens to low hundreds).
@@ -21,18 +27,38 @@ struct WorkState {
   std::vector<bool> reversible;     // per column
   std::vector<std::string> names;   // per column (representative)
   std::vector<std::string> mets;    // per row
-  Matrix<BigRational> recon;        // q_orig x cols
+  // Per original reaction: flux = factor * flux of column `column`.
+  std::vector<std::size_t> column;
+  std::vector<BigRational> factor;
   CompressionStats stats;
 
   [[nodiscard]] std::size_t rows() const { return n.rows(); }
   [[nodiscard]] std::size_t cols() const { return n.cols(); }
 
+  /// The reactions carried by column `from` move to column `into` with
+  /// v_from = ratio * v_into (a merge; `from` == `into` rescales in place).
+  void relabel(std::size_t from, std::size_t into, const BigRational& ratio) {
+    for (std::size_t r = 0; r < column.size(); ++r) {
+      if (column[r] != from) continue;
+      column[r] = into;
+      factor[r] *= ratio;
+    }
+  }
+
   void remove_columns(const std::vector<bool>& drop) {
     std::vector<std::size_t> keep;
-    for (std::size_t j = 0; j < cols(); ++j)
-      if (!drop[j]) keep.push_back(j);
+    std::vector<std::size_t> new_index(cols(), kRemoved);
+    for (std::size_t j = 0; j < cols(); ++j) {
+      if (drop[j]) continue;
+      new_index[j] = keep.size();
+      keep.push_back(j);
+    }
     n = n.select_columns(keep);
-    recon = recon.select_columns(keep);
+    for (std::size_t r = 0; r < column.size(); ++r) {
+      if (column[r] == kRemoved) continue;
+      column[r] = new_index[column[r]];
+      if (column[r] == kRemoved) factor[r] = BigRational();
+    }
     std::vector<bool> rev;
     std::vector<std::string> nm;
     rev.reserve(keep.size());
@@ -156,17 +182,13 @@ bool sweep_coupling(WorkState& w) {
     for (std::size_t r = 0; r < w.rows(); ++r) {
       if (!w.n(r, jb).is_zero()) w.n(r, ja) += ratio * w.n(r, jb);
     }
-    for (std::size_t r = 0; r < w.recon.rows(); ++r) {
-      if (!w.recon(r, jb).is_zero())
-        w.recon(r, ja) += ratio * w.recon(r, jb);
-    }
+    w.relabel(jb, ja, ratio);
     bool merged_reversible = !lower_bounded && !upper_bounded;
     if (upper_bounded) {
       // Flip orientation so the merged reaction is a standard irreversible
       // (flux >= 0) reaction.
       for (std::size_t r = 0; r < w.rows(); ++r) w.n(r, ja) = -w.n(r, ja);
-      for (std::size_t r = 0; r < w.recon.rows(); ++r)
-        w.recon(r, ja) = -w.recon(r, ja);
+      w.relabel(ja, ja, BigRational(BigInt(-1)));
     }
     w.reversible[ja] = merged_reversible;
     ++w.stats.merged_reactions;
@@ -261,14 +283,11 @@ bool sweep_kernel_coupling(WorkState& w) {
       // Merge i into j: col(j) += lambda * col(i).
       for (std::size_t r = 0; r < w.rows(); ++r)
         if (!w.n(r, i).is_zero()) w.n(r, j) += lambda * w.n(r, i);
-      for (std::size_t r = 0; r < w.recon.rows(); ++r)
-        if (!w.recon(r, i).is_zero())
-          w.recon(r, j) += lambda * w.recon(r, i);
+      w.relabel(i, j, lambda);
       bool merged_reversible = !lower_bounded && !upper_bounded;
       if (upper_bounded) {
         for (std::size_t r = 0; r < w.rows(); ++r) w.n(r, j) = -w.n(r, j);
-        for (std::size_t r = 0; r < w.recon.rows(); ++r)
-          w.recon(r, j) = -w.recon(r, j);
+        w.relabel(j, j, BigRational(BigInt(-1)));
       }
       w.reversible[j] = merged_reversible;
       ++w.stats.merged_reactions;
@@ -331,15 +350,8 @@ CompressedProblem finalize(WorkState&& w) {
   out.reversible = std::move(w.reversible);
   out.reaction_names = std::move(w.names);
   out.metabolite_names = std::move(w.mets);
-  out.reconstruction = std::move(w.recon);
   out.stats = w.stats;
 
-  // Scale each rational column to a primitive integer column, folding the
-  // scale factor into the reconstruction (column j scaled by s means a unit
-  // flux on the scaled column equals s units on the rational one... the
-  // flux semantics are: if column vector doubles, the flux that balances a
-  // fixed production halves; reconstruction columns must scale WITH the
-  // stoichiometric scaling to keep expand() consistent).
   out.stoichiometry = Matrix<BigInt>(w.n.rows(), w.n.cols());
   for (std::size_t j = 0; j < w.n.cols(); ++j) {
     std::vector<BigRational> column(w.n.rows());
@@ -356,15 +368,43 @@ CompressedProblem finalize(WorkState&& w) {
         break;
       }
     }
-    // New column represents s * old column; a flux v on it acts like s*v on
-    // the old one, so original fluxes = recon_old * (s * v): multiply the
-    // reconstruction column by s.
-    for (std::size_t r = 0; r < out.reconstruction.rows(); ++r) {
-      if (!out.reconstruction(r, j).is_zero())
-        out.reconstruction(r, j) *= scale;
-    }
+    // A unit flux on the scaled column s * col does the work of s units on
+    // col, so every reaction it carries scales by s.
+    w.relabel(j, j, scale);
   }
+
+  // Clear the factors' denominators: coefficient = D * factor.
+  ReconstructionMap& map = out.reconstruction;
+  for (const auto& f : w.factor) {
+    if (f.is_zero()) continue;
+    map.denominator *=
+        f.den().exact_div(BigInt::gcd(map.denominator, f.den()));
+  }
+  map.coefficient.reserve(w.factor.size());
+  for (const auto& f : w.factor)
+    map.coefficient.push_back(f.num() * map.denominator.exact_div(f.den()));
+  map.column = std::move(w.column);
   return out;
+}
+
+/// out[r] = coefficient[r] * v[column[r]], made primitive, computed in Int.
+/// CheckedI64 throws OverflowError when a coefficient, a reduced entry or a
+/// product does not fit.
+template <typename Int>
+std::vector<BigInt> gather_primitive(const ReconstructionMap& map,
+                                     const std::vector<BigInt>& reduced) {
+  std::vector<Int> out(map.column.size(), scalar_from_i64<Int>(0));
+  for (std::size_t r = 0; r < out.size(); ++r) {
+    const std::size_t j = map.column[r];
+    if (j == kRemoved || reduced[j].is_zero()) continue;
+    out[r] = scalar_from_bigint<Int>(map.coefficient[r]) *
+             scalar_from_bigint<Int>(reduced[j]);
+  }
+  make_primitive(out);
+  std::vector<BigInt> result;
+  result.reserve(out.size());
+  for (const auto& value : out) result.push_back(scalar_to_bigint(value));
+  return result;
 }
 
 }  // namespace
@@ -381,34 +421,22 @@ std::optional<std::size_t> CompressedProblem::column_for(
   }
   ELMO_REQUIRE(row < original_reaction_names.size(),
                "unknown original reaction: " + original_reaction_name);
-  // The reconstruction row has at most one nonzero (each original reaction
-  // is a multiple of exactly one representative, or identically zero).
-  std::optional<std::size_t> column;
-  for (std::size_t j = 0; j < reconstruction.cols(); ++j) {
-    if (!reconstruction(row, j).is_zero()) {
-      ELMO_CHECK(!column.has_value(),
-                 "reaction " + original_reaction_name +
-                     " depends on multiple reduced columns");
-      column = j;
-    }
-  }
+  const std::size_t column = reconstruction.column[row];
+  if (column == kRemoved) return std::nullopt;
   return column;
 }
 
 std::vector<BigInt> CompressedProblem::expand(
     const std::vector<BigInt>& reduced_flux) const {
-  ELMO_REQUIRE(reduced_flux.size() == reconstruction.cols(),
+  ELMO_REQUIRE(reduced_flux.size() == num_reactions(),
                "expand: flux dimension mismatch");
-  std::vector<BigRational> original(reconstruction.rows());
-  for (std::size_t r = 0; r < reconstruction.rows(); ++r) {
-    BigRational acc;
-    for (std::size_t j = 0; j < reconstruction.cols(); ++j) {
-      if (!reconstruction(r, j).is_zero() && !reduced_flux[j].is_zero())
-        acc += reconstruction(r, j) * BigRational(reduced_flux[j]);
-    }
-    original[r] = std::move(acc);
+  // D * (E v) is a positive multiple of E v, so both normalise to the same
+  // primitive vector; only this mode is redone when int64 is too narrow.
+  try {
+    return gather_primitive<CheckedI64>(reconstruction, reduced_flux);
+  } catch (const OverflowError&) {
+    return gather_primitive<BigInt>(reconstruction, reduced_flux);
   }
-  return to_primitive_integer(original);
 }
 
 CompressedProblem compress(const Network& network,
@@ -424,10 +452,10 @@ CompressedProblem compress(const Network& network,
   for (const auto& reaction : network.reactions())
     w.names.push_back(reaction.name);
   for (auto met : internals) w.mets.push_back(network.metabolite(met).name);
-  w.recon = Matrix<BigRational>(network.num_reactions(),
-                                network.num_reactions());
-  for (std::size_t j = 0; j < network.num_reactions(); ++j)
-    w.recon(j, j) = BigRational(BigInt(1));
+  for (std::size_t j = 0; j < network.num_reactions(); ++j) {
+    w.column.push_back(j);
+    w.factor.emplace_back(BigInt(1));
+  }
 
   bool changed = true;
   while (changed) {

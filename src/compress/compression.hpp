@@ -17,8 +17,12 @@
 //   3. redundant-row removal — metabolite rows linearly dependent on the
 //      others (conservation relations) are dropped.
 //
-// Every operation updates a rational reconstruction matrix E so that a flux
-// vector v on the reduced reactions expands to E v on the original ones.
+// Every operation also updates a sparse reconstruction map: each original
+// reaction's flux is one rational multiple of one reduced column's flux (or
+// identically zero once the reaction is removed).  The final map stores
+// those multiples as integers over one common denominator D, so expanding a
+// mode is an int64 gather plus a gcd pass, redone in BigInt for the rare
+// mode that overflows.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +31,6 @@
 #include <vector>
 
 #include "bigint/bigint.hpp"
-#include "bigint/rational.hpp"
 #include "linalg/matrix.hpp"
 #include "network/network.hpp"
 
@@ -50,6 +53,20 @@ struct CompressionStats {
   std::size_t redundant_rows = 0;
 };
 
+/// Sparse integer map from reduced fluxes back to the original reactions:
+/// for a reduced flux vector v, original reaction r carries
+/// coefficient[r] * v[column[r]] / denominator, or zero flux when
+/// column[r] == kRemoved.  `denominator` (D) is the least common denominator
+/// of the rational factors the compression produced, so every coefficient is
+/// an integer.
+struct ReconstructionMap {
+  static constexpr std::size_t kRemoved = static_cast<std::size_t>(-1);
+
+  std::vector<std::size_t> column;  // per original reaction
+  std::vector<BigInt> coefficient;  // per original reaction; 0 if removed
+  BigInt denominator{1};
+};
+
 /// A compressed EFM problem plus everything needed to map results back.
 struct CompressedProblem {
   /// Reduced stoichiometry matrix (m_red x q_red), integer, each column
@@ -65,8 +82,7 @@ struct CompressedProblem {
   /// Original reaction space.
   std::vector<std::string> original_reaction_names;
   std::vector<bool> original_reversible;
-  /// q_orig x q_red: original fluxes = reconstruction * reduced fluxes.
-  Matrix<BigRational> reconstruction;
+  ReconstructionMap reconstruction;
 
   CompressionStats stats;
 
@@ -86,7 +102,8 @@ struct CompressedProblem {
       const std::string& original_reaction_name) const;
 
   /// Expand a reduced-space flux vector to the original reaction space as a
-  /// primitive integer vector.
+  /// primitive integer vector: one gather through `reconstruction` and a gcd
+  /// pass, in int64 unless a value of this mode does not fit.
   [[nodiscard]] std::vector<BigInt> expand(
       const std::vector<BigInt>& reduced_flux) const;
 };

@@ -198,11 +198,14 @@ EfmResult run_with(const CompressedProblem& compressed,
     }
   }
 
-  auto reduced_modes = columns_to_bigint(columns);
-  result.modes.reserve(reduced_modes.size());
-  for (const auto& mode : reduced_modes)
-    result.modes.push_back(compressed.expand(mode));
-  canonicalize_modes(result.modes, original_reversibility);
+  {
+    ScopedPhase phase(result.stats.phases, Phase::kExpand);
+    auto reduced_modes = columns_to_bigint(columns);
+    result.modes.reserve(reduced_modes.size());
+    for (const auto& mode : reduced_modes)
+      result.modes.push_back(compressed.expand(mode));
+    canonicalize_modes(result.modes, original_reversibility);
+  }
 
   result.reaction_names = compressed.original_reaction_names;
   result.compression_stats = compressed.stats;

@@ -52,6 +52,7 @@ enum class Phase : std::uint8_t {
   kCommunicate,
   kMerge,
   kCheckpoint,
+  kExpand,  // result post-processing: to BigInt, expand, canonicalise
   kCount,
 };
 
@@ -62,7 +63,8 @@ inline constexpr std::size_t kNumPhases =
 /// (reports, tables, tests) and match the pre-interning phase keys.
 inline constexpr const char* phase_name(Phase phase) {
   constexpr const char* kNames[kNumPhases] = {
-      "gen cand", "rank test", "communicate", "merge", "checkpoint"};
+      "gen cand", "rank test", "communicate", "merge", "checkpoint",
+      "expand"};
   return kNames[static_cast<std::size_t>(phase)];
 }
 

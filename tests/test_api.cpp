@@ -25,6 +25,20 @@ TEST(Api, ToyNetworkSerial) {
   EXPECT_GE(result.seconds, 0.0);
 }
 
+TEST(Api, ExpandPhaseIsInTheLedger) {
+  // Post-processing (to BigInt, expand, canonicalise) is timed into the
+  // phase ledger, and the ledger never claims more than the run took.
+  Network net = models::toy_network();
+  auto result = compute_efms(net);
+  const auto totals = result.stats.phases.totals();
+  ASSERT_EQ(totals.count(phase_name(Phase::kExpand)), 1u);
+  double sum = 0.0;
+  for (const auto& [name, seconds] : totals) sum += seconds;
+  EXPECT_LE(sum, result.seconds);
+  const auto report = make_solve_report(result, EfmOptions{}, "toy");
+  EXPECT_EQ(report.phase_seconds.count("expand"), 1u);
+}
+
 TEST(Api, AllThreeAlgorithmsAgree) {
   Network net = models::toy_network();
   EfmOptions serial;
