@@ -12,6 +12,7 @@
 #include "mpsim/communicator.hpp"
 #include "network/network.hpp"
 #include "nullspace/efm.hpp"
+#include "nullspace/elementarity.hpp"
 #include "nullspace/flux_column.hpp"
 #include "nullspace/solver.hpp"
 #include "nullspace/stats.hpp"

@@ -27,6 +27,7 @@
 #include "compress/compression.hpp"
 #include "core/retry.hpp"
 #include "network/network.hpp"
+#include "nullspace/elementarity.hpp"
 #include "nullspace/initial_basis.hpp"
 #include "nullspace/solver.hpp"
 #include "nullspace/spill.hpp"

@@ -17,14 +17,11 @@
 #include "check/check.hpp"
 #include "mpsim/communicator.hpp"
 #include "mpsim/serialize.hpp"
+#include "nullspace/elementarity.hpp"
 #include "nullspace/flux_column.hpp"
-#include "nullspace/modular_rank.hpp"
 #include "nullspace/pairgen.hpp"
 #include "nullspace/problem.hpp"
-#include "nullspace/rank_test.hpp"
 #include "nullspace/solver.hpp"
-#include "nullspace/sparse_rank.hpp"
-#include "nullspace/spill.hpp"
 #include "nullspace/stats.hpp"
 #include "obs/obs.hpp"
 #include "resource/governor.hpp"
@@ -81,24 +78,11 @@ ParallelSolveResult<Scalar, Support> solve_combinatorial_parallel(
   // measure but costs nothing extra).
   auto prepared = prepare_problem(problem);
   SolverOptions solver_options = options.solver;
-  if (prepared.has_splits()) {
-    // If a divide-and-conquer caller excluded a row that got split, its
-    // backward copy must stay unprocessed too (Proposition 1 needs the
-    // reaction's full flux untouched).
-    for (std::size_t k = 0; k < prepared.backward_of.size(); ++k) {
-      for (std::size_t row : options.solver.exclude_rows) {
-        if (prepared.backward_of[k] == row) {
-          solver_options.exclude_rows.push_back(
-              prepared.original_reactions + k);
-        }
-      }
-    }
-  }
+  solver_options.exclude_rows = prepared.excluded(options.solver.exclude_rows);
 
   // Per-rank outputs (distinct slots; no locking needed).
   std::vector<SolveStats> rank_stats(static_cast<std::size_t>(num_ranks));
   std::optional<std::vector<FluxColumn<Scalar, Support>>> final_columns;
-  SolveStats merged_stats;  // rank 0's view of merged quantities
 
   const int threads_per_rank = std::max(options.threads_per_rank, 1);
 
@@ -106,35 +90,26 @@ ParallelSolveResult<Scalar, Support> solve_combinatorial_parallel(
     const int rank = comm.rank();
     SolveStats& stats = rank_stats[static_cast<std::size_t>(rank)];
     // Rank 0's per-iteration rows carry the GLOBAL accepted count and
-    // matrix width (its slice-local counters stay slice-local); the run
-    // report plots the column-growth curve from them.
+    // matrix width; the run report plots the column-growth curve from them.
     stats.keep_history = solver_options.record_history && rank == 0;
     auto basis = compute_initial_basis<Scalar, Support>(
         prepared.problem, solver_options.ordering,
         solver_options.exclude_rows);
     stats.peak_columns = basis.columns.size();
-    // Per-thread testers: the testers carry scratch buffers and are not
-    // shareable across the rank's shared-memory workers.
-    std::vector<RankTester<Scalar>> exact_testers(
-        static_cast<std::size_t>(threads_per_rank),
-        RankTester<Scalar>(prepared.problem.stoichiometry));
-    std::vector<ModularRankTester<Scalar>> modular_testers;
-    std::vector<SparseRankTester<Scalar>> sparse_testers;
-    bool use_modular = false;
-    bool use_sparse = false;
-    if (solver_options.test == ElementarityTest::kRank) {
-      if (solver_options.rank_backend == RankTestBackend::kSparse) {
-        for (int t = 0; t < threads_per_rank; ++t)
-          sparse_testers.emplace_back(prepared.problem.stoichiometry,
-                                      basis.columns);
-        use_sparse = true;
-      } else if (solver_options.rank_backend == RankTestBackend::kModular) {
-        for (int t = 0; t < threads_per_rank; ++t)
-          modular_testers.emplace_back(prepared.problem.stoichiometry,
-                                       basis.columns);
-        use_modular = true;
-      }
+    // One oracle per shared-memory worker: testers carry scratch buffers
+    // and warm caches and are not shareable across the rank's threads.
+    std::vector<Elementarity<Scalar, Support>> oracles;
+    oracles.reserve(static_cast<std::size_t>(threads_per_rank));
+    for (int t = 0; t < threads_per_rank; ++t) {
+      oracles.emplace_back(prepared.problem.stoichiometry, basis.columns,
+                           solver_options.test, solver_options.rank_backend);
     }
+    auto make_oracle = [&](int thread) {
+      return [&, thread](const Support& support) {
+        return oracles[static_cast<std::size_t>(thread)].is_elementary(
+            support);
+      };
+    };
     std::optional<ThreadPool> pool;
     if (threads_per_rank > 1)
       pool.emplace(static_cast<std::size_t>(threads_per_rank));
@@ -164,66 +139,32 @@ ParallelSolveResult<Scalar, Support> solve_combinatorial_parallel(
       auto cls = classify_row(columns, row);
       iteration.positives = cls.positive.size();
       iteration.negatives = cls.negative.size();
+      const bool row_reversible = prepared.problem.reversible[row];
 
       // ParallelGenerateEFMCands + local Sort&RemoveDuplicates + local
-      // RankTests, over this rank's contiguous pair slice, in
-      // bounded-memory blocks.  The algebraic rank test is per-candidate
-      // local — that is what makes Algorithm 2's distribution work.  The
-      // combinatorial subset test, by contrast, needs the GLOBAL candidate
-      // set and therefore runs after the merge below; its per-candidate
-      // oracle here accepts everything.
+      // elementarity tests, over this rank's contiguous pair slice, in
+      // bounded-memory blocks.  The test is per-candidate local — that is
+      // what makes Algorithm 2's distribution work; only the combinatorial
+      // test's cross-candidate half needs the gathered set and runs after
+      // the merge below.  The matrix is replicated, so every worker's
+      // oracle stages the same iteration.
       PairRange slice = pair_slice(cls.pair_count(), rank, num_ranks);
-      const bool defer_test =
-          solver_options.test == ElementarityTest::kCombinatorial;
-      if (use_sparse) {
-        // The matrix is replicated, so the iteration's common zero rows
-        // are rank-global; each thread's tester caches the same block.
-        const auto common = iteration_common_zero_rows(
-            columns, cls.positive, cls.negative, row);
-        for (auto& tester : sparse_testers) tester.begin_iteration(common);
-      }
-      auto make_oracle = [&](int thread) {
-        return [&, thread](const Support& support) -> bool {
-          if (defer_test) return true;
-          if (use_sparse)
-            return sparse_testers[static_cast<std::size_t>(thread)]
-                .is_elementary(support);
-          if (use_modular)
-            return modular_testers[static_cast<std::size_t>(thread)]
-                .is_elementary(support);
-          return exact_testers[static_cast<std::size_t>(thread)]
-              .is_elementary(support);
-        };
-      };
+      for (auto& oracle : oracles)
+        oracle.begin_iteration(columns, cls, row, row_reversible);
       std::vector<FluxColumn<Scalar, Support>> local;
       // Transient candidate charge for this iteration (the rank's own slice,
       // then additionally the gathered cross-rank set); released at scope
       // exit once everything merged into the matrix replica.
       resource::MemoryLease candidate_lease(resource::Subsystem::kCandidates);
-      // Out-of-core fallback for the single-thread rank path: SMP workers
-      // keep their thread-local slices in memory (their merge already
-      // bounds them), so spill applies where the transient actually
-      // accumulates.  Like the serial solver, every governed iteration
-      // routes through the chunked driver; disk traffic is decided per
-      // chunk from the live headroom.
-      const bool spill_iteration =
-          solver_options.spill.always ||
-          (solver_options.spill.enabled && !solver_options.ignore_mem_limit &&
-           governor.enabled());
-      if (threads_per_rank == 1 && spill_iteration) {
-        iteration.spilled_bytes = process_pair_range_spilled(
-            columns, row, cls, basis.stoichiometry_rank, slice.begin,
-            slice.end, solver_options.block_ref_cap, make_oracle(0),
-            iteration, stats.phases, local, solver_options.spill);
-      } else if (threads_per_rank == 1) {
-        process_pair_range(columns, row, cls, basis.stoichiometry_rank,
-                           slice.begin, slice.end,
-                           solver_options.block_ref_cap, make_oracle(0),
-                           iteration, stats.phases, local);
-      }
-      if (threads_per_rank == 1 && use_sparse)
-        sparse_testers[0].drain_stats(iteration);
-      if (threads_per_rank > 1) {
+      if (threads_per_rank == 1) {
+        // Out-of-core fallback applies to the single-thread rank path:
+        // SMP workers keep their thread-local slices in memory (their
+        // merge already bounds them).
+        run_pair_range(solver_options, columns, row, cls,
+                       basis.stoichiometry_rank, slice.begin, slice.end,
+                       make_oracle(0), iteration, stats.phases, local);
+        oracles[0].drain(iteration);
+      } else {
         // SMP mode: workers steal adaptive batches of this rank's slice
         // off a shared cursor (survivor density is wildly skewed across
         // the pair space; the static per-thread sub-slices this replaces
@@ -257,20 +198,8 @@ ParallelSolveResult<Scalar, Support> solve_combinatorial_parallel(
         PhaseTimer slowest_worker;  // per-iteration max across threads
         for (int t = 0; t < threads_per_rank; ++t) {
           auto st = static_cast<std::size_t>(t);
-          if (use_sparse)
-            sparse_testers[st].drain_stats(thread_stats[st]);
-          iteration.pairs_probed += thread_stats[st].pairs_probed;
-          iteration.pairs_pruned += thread_stats[st].pairs_pruned;
-          iteration.pretest_survivors += thread_stats[st].pretest_survivors;
-          iteration.rank_tests += thread_stats[st].rank_tests;
-          iteration.rank_sparse_hits += thread_stats[st].rank_sparse_hits;
-          iteration.rank_warmstart_reuses +=
-              thread_stats[st].rank_warmstart_reuses;
-          iteration.rank_dense_fallbacks +=
-              thread_stats[st].rank_dense_fallbacks;
-          iteration.rank_gathered_nnz += thread_stats[st].rank_gathered_nnz;
-          iteration.duplicates_removed +=
-              thread_stats[st].duplicates_removed;
+          oracles[st].drain(thread_stats[st]);
+          iteration.add_counters(thread_stats[st]);
           slowest_worker.merge_max(thread_phases[st]);
           local.insert(local.end(),
                        std::make_move_iterator(thread_local_[st].begin()),
@@ -298,7 +227,7 @@ ParallelSolveResult<Scalar, Support> solve_combinatorial_parallel(
           // rank-nullity: re-verify this rank's accepted slice with the
           // exact backend before it enters the all-gather.
           auditor.check_rank_nullity(
-              exact_testers[0], local,
+              oracles[0].exact(), local,
               "solve_combinatorial_parallel rank " + std::to_string(rank) +
                   " row " + std::to_string(row));
         }
@@ -318,64 +247,52 @@ ParallelSolveResult<Scalar, Support> solve_combinatorial_parallel(
       }
       candidate_lease.set(matrix_storage_bytes(local) +
                           matrix_storage_bytes(accepted));
-      IterationStats merge_iteration;  // merged quantities, counted once
+      IterationStats merged;  // the cross-rank merge, a global quantity
       {
         ScopedPhase phase(stats.phases, Phase::kMerge);
         // Cross-rank duplicates: different pairs on different ranks can
         // produce the same candidate.
-        sort_and_dedup(accepted, merge_iteration);
+        sort_and_dedup(accepted, merged);
+        merged.accepted = accepted.size();
       }
       if (solver_options.test == ElementarityTest::kCombinatorial) {
+        // The cross-candidate half on the gathered set.  Every gathered
+        // candidate passed its per-column half, and a candidate containing
+        // one that failed it would have failed too (subset containment is
+        // transitive), so this keeps exactly the serial solver's set.
         ScopedPhase test_phase(stats.phases, Phase::kRankTest);
-        combinatorial_filter(columns, cls, prepared.problem.reversible[row],
-                             accepted, merge_iteration);
+        cross_candidate_subset_filter(accepted, merged);
       }
       {
         ScopedPhase phase(stats.phases, Phase::kMerge);
-        merge_iteration.accepted = accepted.size();
-        columns = merge_next(std::move(columns), cls,
-                             prepared.problem.reversible[row],
+        columns = merge_next(std::move(columns), cls, row_reversible,
                              std::move(accepted));
       }
       iteration.columns_after = columns.size();
       const std::size_t matrix_bytes = matrix_storage_bytes(columns);
       matrix_lease.set(matrix_bytes);
       stats.peak_matrix_bytes = std::max(stats.peak_matrix_bytes, matrix_bytes);
-      // Rank 0 records the globally merged accepted count on its iteration
-      // row (process_pair_range left the slice-local pre-dedup count
-      // there), so history plots the true growth.  Harmless for the
-      // aggregate below: total_accepted is overwritten from the ledger.
-      if (rank == 0) iteration.accepted = merge_iteration.accepted;
+      // Global quantities are counted once, on rank 0: its row carries the
+      // merged accepted count and adds the cross-rank duplicates to its
+      // slice-local ones; other ranks accept nothing.  Summing the rank
+      // ledgers (SolveStats::reduce_ranks) and the published metrics then
+      // both land on the global totals.
+      if (rank == 0) {
+        iteration.accepted = merged.accepted;
+        iteration.duplicates_removed += merged.duplicates_removed;
+      } else {
+        iteration.accepted = 0;
+      }
       stats.absorb(iteration);
       // History rows plot GLOBAL quantities: patch the pair count from rank
       // 0's slice to the full pair set of this row (the matrix is
-      // replicated, so positives x negatives is known locally).  Slices
-      // partition the pair set, so summing these rows reproduces the
-      // aggregated total_pairs_probed exactly.  Done after absorb() so the
-      // rank totals keep their slice-local sums.
-      if (stats.keep_history && rank == 0) {
+      // replicated, so positives x negatives is known locally).  Done after
+      // absorb() so the rank totals keep their slice-local sums.
+      if (stats.keep_history) {
         stats.history.back().pairs_probed = cls.pair_count();
       }
-      // Metrics must count global quantities once: only rank 0 publishes
-      // accepted (merged) and it adds the cross-rank duplicates on top of
-      // its slice-local ones; other ranks publish 0 for both.
-      IterationStats published = iteration;
-      if (rank == 0) {
-        published.duplicates_removed += merge_iteration.duplicates_removed;
-      } else {
-        published.accepted = 0;
-      }
-      publish_iteration_metrics(published);
+      publish_iteration_metrics(iteration);
       if (rank == 0) obs::trace_counter("columns", iteration.columns_after);
-      // The merged candidate count and cross-rank duplicates are global
-      // quantities; fold them into rank 0's ledger only.
-      if (rank == 0) {
-        // analyze:shared-ok — only rank 0 touches the spawner-frame ledger.
-        merged_stats.total_accepted += merge_iteration.accepted;
-        // analyze:shared-ok
-        merged_stats.total_duplicates_removed +=
-            merge_iteration.duplicates_removed;
-      }
       // Memory accounting against the simulated per-rank budget.
       comm.set_memory_usage(stats.peak_matrix_bytes);
       if (solver_options.audit && rank == 0) {
@@ -412,30 +329,7 @@ ParallelSolveResult<Scalar, Support> solve_combinatorial_parallel(
   ELMO_CHECK(final_columns.has_value(), "rank 0 produced no result");
   result.columns = std::move(*final_columns);
   result.ranks = std::move(report);
-  // Aggregate: slice-local counters sum across ranks; merged counters were
-  // recorded once; phase times take the slowest rank (the paper reports
-  // the critical path); accepted counts come from the merge ledger.
-  for (const auto& stats : rank_stats) {
-    result.stats.total_pairs_probed += stats.total_pairs_probed;
-    result.stats.total_pretest_survivors += stats.total_pretest_survivors;
-    result.stats.total_rank_tests += stats.total_rank_tests;
-    result.stats.total_duplicates_removed += stats.total_duplicates_removed;
-    result.stats.peak_columns =
-        std::max(result.stats.peak_columns, stats.peak_columns);
-    result.stats.peak_matrix_bytes =
-        std::max(result.stats.peak_matrix_bytes, stats.peak_matrix_bytes);
-    result.stats.phases.merge_max(stats.phases);
-  }
-  result.stats.iterations = rank_stats.empty()
-                                ? 0
-                                : rank_stats.front().iterations;
-  result.stats.total_accepted = merged_stats.total_accepted;
-  result.stats.total_duplicates_removed +=
-      merged_stats.total_duplicates_removed;
-  if (!rank_stats.empty() && rank_stats.front().keep_history) {
-    result.stats.keep_history = true;
-    result.stats.history = rank_stats.front().history;
-  }
+  result.stats = SolveStats::reduce_ranks(rank_stats);
   result.per_rank = std::move(rank_stats);
   return result;
 }

@@ -20,10 +20,10 @@
 #include <cmath>
 
 #include "core/combined.hpp"
+#include "nullspace/elementarity.hpp"
 #include "nullspace/flux_column.hpp"
 #include "nullspace/initial_basis.hpp"
 #include "nullspace/problem.hpp"
-#include "nullspace/rank_test.hpp"
 #include "nullspace/stats.hpp"
 #include "support/timer.hpp"
 
@@ -55,21 +55,18 @@ SubsetEstimate estimate_subset(const EfmProblem<Scalar>& problem,
                                const EstimateOptions& options = {}) {
   auto sub = detail::make_subproblem<Scalar>(problem, spec);
   auto prepared = prepare_problem(sub.problem);
-  std::vector<std::size_t> exclude = sub.nzf_sub_rows;
-  for (std::size_t k = 0; k < prepared.backward_of.size(); ++k) {
-    for (std::size_t row : sub.nzf_sub_rows) {
-      if (prepared.backward_of[k] == row)
-        exclude.push_back(prepared.original_reactions + k);
-    }
-  }
-  auto basis = compute_initial_basis<Scalar, Support>(prepared.problem,
-                                                      OrderingOptions{},
-                                                      exclude);
-  auto columns = basis.columns;
-  RankTester<Scalar> tester(prepared.problem.stoichiometry);
-  auto is_elementary = [&](const Support& support) {
-    return tester.is_elementary(support);
+  auto basis = compute_initial_basis<Scalar, Support>(
+      prepared.problem, OrderingOptions{},
+      prepared.excluded(sub.nzf_sub_rows));
+  // The exact backend keeps the estimates independent of Monte-Carlo
+  // verdicts.
+  Elementarity<Scalar, Support> oracle(prepared.problem.stoichiometry,
+                                       basis.columns, ElementarityTest::kRank,
+                                       RankTestBackend::kExact);
+  auto is_elementary = [&oracle](const Support& support) {
+    return oracle.is_elementary(support);
   };
+  auto columns = std::move(basis.columns);
 
   SubsetEstimate estimate;
   PhaseTimer phases;
@@ -88,14 +85,15 @@ SubsetEstimate estimate_subset(const EfmProblem<Scalar>& problem,
     }
     IterationStats iteration;
     auto cls = classify_row(columns, row);
+    const bool row_reversible = prepared.problem.reversible[row];
+    oracle.begin_iteration(columns, cls, row, row_reversible);
     std::vector<FluxColumn<Scalar, Support>> accepted;
     process_pair_range(columns, row, cls, basis.stoichiometry_rank, 0,
                        cls.pair_count(), std::size_t{1} << 20, is_elementary,
                        iteration, phases, accepted);
     pairs_so_far += iteration.pairs_probed;
     pair_history.push_back(static_cast<double>(iteration.pairs_probed));
-    columns = merge_next(std::move(columns), cls,
-                         prepared.problem.reversible[row],
+    columns = merge_next(std::move(columns), cls, row_reversible,
                          std::move(accepted));
     column_history.push_back(static_cast<double>(columns.size()));
     ++iterations_done;

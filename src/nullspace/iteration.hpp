@@ -1,17 +1,22 @@
 // One iteration of the Nullspace Algorithm (one processed row).
 //
 // The steps mirror Algorithm 1/2 of the paper and are split into free
-// functions so the serial solver (Algorithm 1) and the combinatorial
-// parallel solver (Algorithm 2) share the same kernel:
+// functions so every driver (serial Algorithm 1, Algorithm 2's rank
+// slices, Algorithm 4's shard pairings, the subset estimator) shares the
+// same kernel:
 //
 //   classify_row        - split columns into zero / positive / negative
-//   generate_candidates - pair positives with negatives over a flattened
-//                         pair-index range (the range is what Algorithm 2
-//                         partitions across compute ranks)
+//   process_pair_range  - over a flattened pair-index range (the range is
+//                         what Algorithm 2 partitions across compute
+//                         ranks): generate candidate refs, dedup them, run
+//                         the per-candidate elementarity test and
+//                         materialise the accepted ones
 //   sort_and_dedup      - the paper's Sort&RemoveDuplicates (by support)
+//   cross_candidate_subset_filter
+//                       - the combinatorial test's cross-candidate half
 //   merge_next          - RemoveNegColumns + concatenate survivors
 //
-// The cardinality pre-test inside generate_candidates is the hot loop: an
+// The cardinality pre-test inside candidate generation is the hot loop: an
 // OR + popcount per pair; pairs failing it are counted but never
 // materialised.  This is what the paper's per-iteration "generated
 // candidate modes" numbers count.  Production traversal runs through the
@@ -29,7 +34,6 @@
 #include "bitset/dynbitset.hpp"
 #include "nullspace/flux_column.hpp"
 #include "nullspace/pairgen.hpp"
-#include "nullspace/rank_test.hpp"
 #include "nullspace/stats.hpp"
 #include "support/assert.hpp"
 #include "support/timer.hpp"
@@ -253,14 +257,6 @@ void generate_candidate_refs(
   *cursor = gen.cursor();
 }
 
-/// Materialise an accepted ref into a full column.
-template <typename Scalar, typename Support>
-FluxColumn<Scalar, Support> materialize(
-    const std::vector<FluxColumn<Scalar, Support>>& columns, std::size_t row,
-    const CandidateRef<Support>& ref) {
-  return combine_columns(columns[ref.positive], columns[ref.negative], row);
-}
-
 /// The paper's Sort&RemoveDuplicates: sort by support pattern (then values,
 /// for determinism) and keep one column per support.  Candidates sharing a
 /// support are either proportional (true duplicates) or will all fail the
@@ -276,107 +272,6 @@ void sort_and_dedup(std::vector<FluxColumn<Scalar, Support>>& candidates,
   stats.duplicates_removed +=
       static_cast<std::uint64_t>(candidates.end() - last);
   candidates.erase(last, candidates.end());
-}
-
-/// Drop candidates that exactly duplicate an existing zero column (the
-/// paper's Fig. 2 fourth iteration: of four candidates, one reproduces an
-/// already-present column and only three reach the rank test).  Only
-/// value-exact duplicates are dropped: an equal-support candidate with
-/// different values either fails the rank test anyway (nullity >= 2) or is
-/// the mirror orientation of a reversible-support mode, which must be kept
-/// while irreversible rows remain unprocessed.
-template <typename Scalar, typename Support>
-void dedup_against_existing(
-    const std::vector<FluxColumn<Scalar, Support>>& columns,
-    const std::vector<std::uint32_t>& zero_columns,
-    std::vector<FluxColumn<Scalar, Support>>& candidates,
-    IterationStats& stats) {
-  if (candidates.empty() || zero_columns.empty()) return;
-  std::vector<const FluxColumn<Scalar, Support>*> sorted;
-  sorted.reserve(zero_columns.size());
-  for (std::uint32_t j : zero_columns) sorted.push_back(&columns[j]);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const auto* a, const auto* b) { return *a < *b; });
-  std::size_t kept = 0;
-  for (std::size_t c = 0; c < candidates.size(); ++c) {
-    auto it = std::lower_bound(
-        sorted.begin(), sorted.end(), candidates[c],
-        [](const auto* a, const auto& b) { return *a < b; });
-    if (it != sorted.end() && **it == candidates[c]) {
-      ++stats.duplicates_removed;
-      continue;
-    }
-    if (kept != c) candidates[kept] = std::move(candidates[c]);
-    ++kept;
-  }
-  candidates.resize(kept);
-}
-
-/// Apply the algebraic rank test to each candidate, keeping survivors.
-/// `tester` is any object with is_elementary(support) — the exact Bareiss
-/// RankTester or the fast ModularRankTester.
-template <typename Tester, typename Scalar, typename Support>
-void rank_filter(Tester& tester,
-                 std::vector<FluxColumn<Scalar, Support>>& candidates,
-                 IterationStats& stats) {
-  std::size_t kept = 0;
-  for (std::size_t c = 0; c < candidates.size(); ++c) {
-    ++stats.rank_tests;
-    if (tester.is_elementary(candidates[c].support)) {
-      if (kept != c) candidates[kept] = std::move(candidates[c]);
-      ++kept;
-    }
-  }
-  stats.accepted += kept;
-  candidates.resize(kept);
-}
-
-/// Apply the combinatorial subset test instead of the rank test.  A
-/// candidate survives iff no SURVIVING column's support (columns that will
-/// be part of the next matrix — zero, positive, and negative-if-reversible)
-/// and no OTHER candidate's support is strictly contained in its own.
-/// Candidates must already be deduped (distinct supports).
-template <typename Scalar, typename Support>
-void combinatorial_filter(
-    const std::vector<FluxColumn<Scalar, Support>>& columns,
-    const RowClassification& cls, bool row_reversible,
-    std::vector<FluxColumn<Scalar, Support>>& candidates,
-    IterationStats& stats) {
-  std::vector<const Support*> survivors;
-  survivors.reserve(columns.size());
-  for (std::uint32_t j : cls.zero) survivors.push_back(&columns[j].support);
-  for (std::uint32_t j : cls.positive)
-    survivors.push_back(&columns[j].support);
-  if (row_reversible) {
-    for (std::uint32_t j : cls.negative)
-      survivors.push_back(&columns[j].support);
-  }
-  std::size_t kept = 0;
-  for (std::size_t c = 0; c < candidates.size(); ++c) {
-    ++stats.rank_tests;
-    bool elementary = true;
-    for (const Support* support : survivors) {
-      if (*support != candidates[c].support &&
-          support->is_subset_of(candidates[c].support)) {
-        elementary = false;
-        break;
-      }
-    }
-    if (elementary) {
-      // Candidates are sorted by support; supports are distinct.
-      for (std::size_t d = 0; d < candidates.size() && elementary; ++d) {
-        if (d != c &&
-            candidates[d].support.is_subset_of(candidates[c].support))
-          elementary = false;
-      }
-    }
-    if (elementary) {
-      if (kept != c) candidates[kept] = std::move(candidates[c]);
-      ++kept;
-    }
-  }
-  stats.accepted += kept;
-  candidates.resize(kept);
 }
 
 /// Empty existing-column index: substituted when a block produced no refs

@@ -2,18 +2,13 @@
 //
 // A candidate flux mode with support S is elementary iff the submatrix of
 // the reduced stoichiometry formed by the columns in S has nullity exactly
-// 1.  Two tests are provided:
-//
-//   RankTester           - the exact algebraic test via fraction-free
-//                          elimination (the paper's method; LU/QR/SVD in the
-//                          original, Bareiss here because arithmetic is
-//                          exact).  With the CheckedI64 kernel an overflow
-//                          falls back to BigInt per candidate.
-//   CombinatorialTester  - the classical double-description alternative:
-//                          a candidate is elementary iff no OTHER current
-//                          column's support is a strict subset of the
-//                          candidate's.  Provided for the ablation bench
-//                          comparing test strategies.
+// 1.  RankTester is the exact algebraic test via fraction-free elimination
+// (the paper's method; LU/QR/SVD in the original, Bareiss here because
+// arithmetic is exact).  With the CheckedI64 kernel an overflow falls back
+// to BigInt per candidate.  The modular testers (modular_rank.hpp,
+// sparse_rank.hpp) are differentially tested against it, and the
+// combinatorial support-subset alternative lives in the Elementarity
+// oracle (elementarity.hpp).
 #pragma once
 
 #include <vector>
@@ -22,7 +17,6 @@
 #include "bigint/scalar.hpp"
 #include "linalg/gauss.hpp"
 #include "linalg/matrix.hpp"
-#include "nullspace/flux_column.hpp"
 #include "support/error.hpp"
 
 namespace elmo {
@@ -68,32 +62,6 @@ class RankTester {
  private:
   const Matrix<Scalar>& n_;
   std::vector<std::uint32_t> indices_;
-};
-
-/// The combinatorial (support-subset) elementarity test: a candidate is
-/// accepted iff no other column in the CURRENT matrix has a support that is
-/// a strict subset of the candidate's.  O(#columns) bitset operations per
-/// candidate instead of an O(m^3) elimination.
-template <typename Scalar, typename Support>
-class CombinatorialTester {
- public:
-  /// Snapshot the supports of the current matrix columns.
-  void reset(const std::vector<FluxColumn<Scalar, Support>>& columns) {
-    supports_.clear();
-    supports_.reserve(columns.size());
-    for (const auto& column : columns) supports_.push_back(column.support);
-  }
-
-  [[nodiscard]] bool is_elementary(const Support& candidate) const {
-    for (const auto& support : supports_) {
-      if (support != candidate && support.is_subset_of(candidate))
-        return false;
-    }
-    return true;
-  }
-
- private:
-  std::vector<Support> supports_;
 };
 
 }  // namespace elmo

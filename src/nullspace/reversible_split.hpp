@@ -14,6 +14,7 @@
 // spurious two-cycle {r_fwd, r_bwd}, which is dropped.
 #pragma once
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -37,6 +38,20 @@ struct PreparedProblem {
   std::vector<std::size_t> backward_of;
 
   [[nodiscard]] bool has_splits() const { return !backward_of.empty(); }
+
+  /// The rows to leave unprocessed in the split problem: `rows` (reduced
+  /// row indices, e.g. divide-and-conquer's nonzero-flux partition rows)
+  /// plus the backward copy of each split one — Proposition 1 needs the
+  /// reaction's full flux untouched.
+  [[nodiscard]] std::vector<std::size_t> excluded(
+      const std::vector<std::size_t>& rows) const {
+    std::vector<std::size_t> out = rows;
+    for (std::size_t k = 0; k < backward_of.size(); ++k) {
+      if (std::find(rows.begin(), rows.end(), backward_of[k]) != rows.end())
+        out.push_back(original_reactions + k);
+    }
+    return out;
+  }
 };
 
 /// Detect reversible reactions that cannot become pivots and split them.

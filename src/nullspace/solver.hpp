@@ -8,17 +8,14 @@
 #pragma once
 
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "check/check.hpp"
+#include "nullspace/elementarity.hpp"
 #include "nullspace/initial_basis.hpp"
 #include "nullspace/iteration.hpp"
-#include "nullspace/modular_rank.hpp"
 #include "nullspace/problem.hpp"
-#include "nullspace/rank_test.hpp"
 #include "nullspace/reversible_split.hpp"
-#include "nullspace/sparse_rank.hpp"
 #include "nullspace/spill.hpp"
 #include "nullspace/stats.hpp"
 #include "obs/obs.hpp"
@@ -27,35 +24,6 @@
 #include "support/timer.hpp"
 
 namespace elmo {
-
-/// Which elementarity test the solver applies to candidates.
-enum class ElementarityTest {
-  kRank,           // algebraic rank (nullity == 1) test — the paper's choice
-  kCombinatorial,  // support-subset test — the classical alternative
-};
-
-/// Arithmetic backend for the rank test (when ElementarityTest::kRank).
-/// The backends form a ladder: sparse-modular (default) falls back to the
-/// dense-modular elimination per candidate when its cost model says so;
-/// both share the Z_p decision procedure whose rejects are Monte-Carlo;
-/// exact Bareiss (with a per-candidate BigInt fallback on overflow) is the
-/// fully exact reference the others are differentially tested against.
-enum class RankTestBackend {
-  /// Sparse, warm-started elimination over Z_(2^61-1) (see
-  /// nullspace/sparse_rank.hpp): gathers only the nonzero rows of a
-  /// candidate's support columns, amortizes a shared rref factorization
-  /// across all candidates and an echelonized common block across each
-  /// iteration.  Verdict-identical to kModular; the default.
-  kSparse,
-  /// Dense elimination over Z_(2^61-1): accepts certified exactly, rejects
-  /// Monte-Carlo with error probability ~2^-45 per candidate (see
-  /// nullspace/modular_rank.hpp).  Kept as the sparse engine's
-  /// differential oracle and fallback target.
-  kModular,
-  /// Fraction-free Bareiss in the kernel scalar (BigInt fallback per
-  /// candidate): fully exact, used as the reference in tests.
-  kExact,
-};
 
 struct SolverOptions {
   OrderingOptions ordering;
@@ -102,6 +70,37 @@ std::size_t matrix_storage_bytes(
   return bytes;
 }
 
+/// One iteration's generate-dedup-test step over pair range [begin, end),
+/// appending accepted candidates to `accepted`.  This is the one place the
+/// serial solver and Algorithm 2 decide whether an iteration runs in
+/// memory or through the chunked out-of-core driver.  Every governed
+/// iteration takes the chunked driver; whether chunks actually hit disk is
+/// decided per chunk from the live headroom under the limit (see
+/// process_pair_range_spilled).  A coarse admit() pre-check would have to
+/// predict the candidate transient, and a spike in an iteration whose
+/// matrix is still small slips past any such projection.
+template <typename Scalar, typename Support, typename TestFn>
+void run_pair_range(const SolverOptions& options,
+                    const std::vector<FluxColumn<Scalar, Support>>& columns,
+                    std::size_t row, const RowClassification& cls,
+                    std::size_t rank, std::uint64_t begin, std::uint64_t end,
+                    const TestFn& is_elementary, IterationStats& iteration,
+                    PhaseTimer& phases,
+                    std::vector<FluxColumn<Scalar, Support>>& accepted) {
+  const bool spill = options.spill.always ||
+                     (options.spill.enabled && !options.ignore_mem_limit &&
+                      resource::MemoryGovernor::global().enabled());
+  if (spill) {
+    iteration.spilled_bytes += process_pair_range_spilled(
+        columns, row, cls, rank, begin, end, options.block_ref_cap,
+        is_elementary, iteration, phases, accepted, options.spill);
+  } else {
+    process_pair_range(columns, row, cls, rank, begin, end,
+                       options.block_ref_cap, is_elementary, iteration, phases,
+                       accepted);
+  }
+}
+
 template <typename Scalar, typename Support>
 SolveResult<Scalar, Support> solve_nullspace(const EfmProblem<Scalar>& problem,
                                              const SolverOptions& options = {}) {
@@ -110,23 +109,11 @@ SolveResult<Scalar, Support> solve_nullspace(const EfmProblem<Scalar>& problem,
   auto basis = compute_initial_basis<Scalar, Support>(
       problem, options.ordering, options.exclude_rows);
   result.stats.peak_columns = basis.columns.size();
-
-  RankTester<Scalar> exact_tester(problem.stoichiometry);
-  // The modular testers need the initial kernel basis (for their K-side
-  // formulation).
-  std::optional<ModularRankTester<Scalar>> modular_tester;
-  std::optional<SparseRankTester<Scalar>> sparse_tester;
-  bool use_modular = false;
-  bool use_sparse = false;
-  if (options.test == ElementarityTest::kRank) {
-    if (options.rank_backend == RankTestBackend::kSparse) {
-      sparse_tester.emplace(problem.stoichiometry, basis.columns);
-      use_sparse = true;
-    } else if (options.rank_backend == RankTestBackend::kModular) {
-      modular_tester.emplace(problem.stoichiometry, basis.columns);
-      use_modular = true;
-    }
-  }
+  Elementarity<Scalar, Support> oracle(problem.stoichiometry, basis.columns,
+                                       options.test, options.rank_backend);
+  auto is_elementary = [&oracle](const Support& support) {
+    return oracle.is_elementary(support);
+  };
   result.columns = std::move(basis.columns);
 
   // Resource governance: charge the live matrix against the process ledger
@@ -151,67 +138,18 @@ SolveResult<Scalar, Support> solve_nullspace(const EfmProblem<Scalar>& problem,
     iteration.positives = cls.positive.size();
     iteration.negatives = cls.negative.size();
     const bool row_reversible = problem.reversible[row];
-    if (use_sparse) {
-      // Eliminate this iteration's shared K-side block once; every
-      // candidate test below only reduces against the cached pivots.
-      sparse_tester->begin_iteration(iteration_common_zero_rows(
-          result.columns, cls.positive, cls.negative, row));
-    }
-
-    // Per-candidate elementarity oracle for the blocked generator.  For the
-    // combinatorial test the per-column half runs here; the cross-candidate
-    // half runs after all blocks.
-    std::vector<const Support*> survivor_supports;
-    if (options.test == ElementarityTest::kCombinatorial) {
-      for (std::uint32_t j : cls.zero)
-        survivor_supports.push_back(&result.columns[j].support);
-      for (std::uint32_t j : cls.positive)
-        survivor_supports.push_back(&result.columns[j].support);
-      if (row_reversible) {
-        for (std::uint32_t j : cls.negative)
-          survivor_supports.push_back(&result.columns[j].support);
-      }
-    }
-    auto is_elementary = [&](const Support& support) -> bool {
-      if (options.test == ElementarityTest::kCombinatorial) {
-        for (const Support* other : survivor_supports) {
-          if (*other != support && other->is_subset_of(support)) return false;
-        }
-        return true;
-      }
-      if (use_sparse) return sparse_tester->is_elementary(support);
-      if (use_modular) return modular_tester->is_elementary(support);
-      return exact_tester.is_elementary(support);
-    };
+    oracle.begin_iteration(result.columns, cls, row, row_reversible);
 
     if (!options.ignore_mem_limit)
       governor.enforce_resident("nullspace iteration (row " +
                                 std::to_string(row) + ")");
-    // Every governed iteration runs through the chunked out-of-core driver;
-    // whether chunks actually hit disk is decided per chunk from the live
-    // headroom under the limit (see process_pair_range_spilled).  The
-    // coarse admit() pre-check would have to predict the candidate
-    // transient, and a spike in an iteration whose matrix is still small
-    // slips past any such projection.
-    const bool spill_iteration =
-        options.spill.always ||
-        (options.spill.enabled && !options.ignore_mem_limit &&
-         governor.enabled());
-
     std::vector<FluxColumn<Scalar, Support>> candidates;
     resource::MemoryLease candidate_lease(resource::Subsystem::kCandidates);
     try {
-      if (spill_iteration) {
-        iteration.spilled_bytes = process_pair_range_spilled(
-            result.columns, row, cls, basis.stoichiometry_rank, 0,
-            cls.pair_count(), options.block_ref_cap, is_elementary, iteration,
-            result.stats.phases, candidates, options.spill);
-      } else {
-        process_pair_range(result.columns, row, cls, basis.stoichiometry_rank,
-                           0, cls.pair_count(), options.block_ref_cap,
-                           is_elementary, iteration, result.stats.phases,
-                           candidates);
-      }
+      run_pair_range(options, result.columns, row, cls,
+                     basis.stoichiometry_rank, 0, cls.pair_count(),
+                     is_elementary, iteration, result.stats.phases,
+                     candidates);
       // Charge the surviving candidates (the spilled path's lease inside
       // process_pair_range_spilled covers only its in-flight chunk).
       candidate_lease.set(matrix_storage_bytes(candidates));
@@ -224,7 +162,7 @@ SolveResult<Scalar, Support> solve_nullspace(const EfmProblem<Scalar>& problem,
                               " B charged",
                           0, governor.limit());
     }
-    if (use_sparse) sparse_tester->drain_stats(iteration);
+    oracle.drain(iteration);
     if (options.test == ElementarityTest::kCombinatorial)
       cross_candidate_subset_filter(candidates, iteration);
 
@@ -233,7 +171,7 @@ SolveResult<Scalar, Support> solve_nullspace(const EfmProblem<Scalar>& problem,
       // independent of the (possibly Monte-Carlo modular) test that
       // accepted it.
       check::InvariantAuditor{}.check_rank_nullity(
-          exact_tester, candidates,
+          oracle.exact(), candidates,
           "solve_nullspace row " + std::to_string(row));
     }
 

@@ -124,7 +124,6 @@ std::uint64_t process_pair_range_spilled(
 
   resource::SpillFile spill(policy.directory);
   resource::MemoryLease candidate_lease(resource::Subsystem::kCandidates);
-  const std::size_t initial = accepted_out.size();
   std::vector<FluxColumn<Scalar, Support>> chunk_accepted;
 
   // Spill decisions happen at chunk granularity, so chunks are
@@ -190,7 +189,6 @@ std::uint64_t process_pair_range_spilled(
     accepted_out.reserve(accepted_out.size() + merged.size());
     for (auto& column : merged) accepted_out.push_back(std::move(column));
   }
-  (void)initial;
   return spill.bytes_spilled();
 }
 

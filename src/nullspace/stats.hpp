@@ -6,6 +6,7 @@
 // number, and §IV.A observes computation time is proportional to it.)
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -39,6 +40,22 @@ struct IterationStats {
   std::uint64_t rank_warmstart_reuses = 0;  // tests reusing the warm cache
   std::uint64_t rank_dense_fallbacks = 0;   // tests delegated to dense
   std::uint64_t rank_gathered_nnz = 0;      // entries gathered in total
+
+  /// Sum another worker's counters over the same row into this one (the
+  /// SMP thread merge).  Row, side sizes and columns_after stay as they are.
+  void add_counters(const IterationStats& other) {
+    pairs_probed += other.pairs_probed;
+    pairs_pruned += other.pairs_pruned;
+    pretest_survivors += other.pretest_survivors;
+    duplicates_removed += other.duplicates_removed;
+    rank_tests += other.rank_tests;
+    accepted += other.accepted;
+    spilled_bytes += other.spilled_bytes;
+    rank_sparse_hits += other.rank_sparse_hits;
+    rank_warmstart_reuses += other.rank_warmstart_reuses;
+    rank_dense_fallbacks += other.rank_dense_fallbacks;
+    rank_gathered_nnz += other.rank_gathered_nnz;
+  }
 };
 
 struct SolveStats {
@@ -90,10 +107,9 @@ struct SolveStats {
     if (keep_history) history.push_back(it);
   }
 
-  /// Combine subproblem stats (divide-and-conquer aggregation).  Iteration
-  /// histories concatenate (they used to be silently dropped, losing the
-  /// growth curve of every subproblem after the first).
-  void merge(const SolveStats& other) {
+  /// Sum every total_* counter of `other` into this ledger and take the
+  /// larger peaks.
+  void add_totals(const SolveStats& other) {
     total_pairs_probed += other.total_pairs_probed;
     total_pairs_pruned += other.total_pairs_pruned;
     total_pretest_survivors += other.total_pretest_survivors;
@@ -107,12 +123,38 @@ struct SolveStats {
     total_rank_gathered_nnz += other.total_rank_gathered_nnz;
     peak_columns = std::max(peak_columns, other.peak_columns);
     peak_matrix_bytes = std::max(peak_matrix_bytes, other.peak_matrix_bytes);
-    iterations += other.iterations;
     bigint_fallback = bigint_fallback || other.bigint_fallback;
+  }
+
+  /// Combine subproblem stats (divide-and-conquer aggregation).  Iteration
+  /// histories concatenate (they used to be silently dropped, losing the
+  /// growth curve of every subproblem after the first).
+  void merge(const SolveStats& other) {
+    add_totals(other);
+    iterations += other.iterations;
     phases.merge(other.phases);
     keep_history = keep_history || other.keep_history;
     history.insert(history.end(), other.history.begin(),
                    other.history.end());
+  }
+
+  /// Reduce the per-rank ledgers of one distributed solve (Algorithms 2
+  /// and 4).  Each rank counts only its own work, so counters sum; peaks
+  /// and phase times take the largest rank (the paper reports the critical
+  /// path); every rank runs every iteration, so the iteration count and
+  /// history are rank 0's.
+  static SolveStats reduce_ranks(const std::vector<SolveStats>& ranks) {
+    SolveStats out;
+    for (const SolveStats& rank : ranks) {
+      out.add_totals(rank);
+      out.phases.merge_max(rank.phases);
+    }
+    if (!ranks.empty()) {
+      out.iterations = ranks.front().iterations;
+      out.keep_history = ranks.front().keep_history;
+      out.history = ranks.front().history;
+    }
+    return out;
   }
 };
 

@@ -24,6 +24,11 @@ struct SparseRankTester {
   bool is_elementary(int support) const;
 };
 
+struct Elementarity {
+  void begin_iteration(int row);
+  bool is_elementary(int support);
+};
+
 struct Token {};
 struct Watchdog {
   static Watchdog& global();
@@ -62,6 +67,19 @@ inline bool lane_tests(int support, int common_rows) {
   std::vector<SparseRankTester> testers;
   for (auto& tester : testers) tester.begin_iteration(common_rows);
   return testers[0].is_elementary(support);
+}
+
+// The solver drivers' shape: the per-candidate lambda is defined before
+// the row loop and runs only after each iteration is staged.
+inline int staged_driver(int rows, int support) {
+  Elementarity oracle;
+  auto test = [&](int candidate) { return oracle.is_elementary(candidate); };
+  int accepted = 0;
+  for (int row = 0; row < rows; ++row) {
+    oracle.begin_iteration(row);
+    accepted += test(support + row);
+  }
+  return accepted;
 }
 
 // The Token is bound, so the watchdog stays armed for the span.

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "bigint/bigint.hpp"
@@ -14,6 +16,7 @@
 #include "nullspace/efm.hpp"
 #include "nullspace/flux_column.hpp"
 #include "nullspace/rank_test.hpp"
+#include "nullspace/stats.hpp"
 
 namespace elmo {
 
@@ -91,6 +94,35 @@ inline void check_efm_invariants(const Network& network,
           << "support " << a << " strictly inside support " << b;
     }
   }
+}
+
+/// Every total_* counter of a solve ledger, by name (gtest prints the map
+/// on a mismatch, so a failing comparison names the counter).
+inline std::map<std::string, std::uint64_t> solve_totals(
+    const SolveStats& stats) {
+  return {
+      {"pairs_probed", stats.total_pairs_probed},
+      {"pairs_pruned", stats.total_pairs_pruned},
+      {"pretest_survivors", stats.total_pretest_survivors},
+      {"rank_tests", stats.total_rank_tests},
+      {"accepted", stats.total_accepted},
+      {"duplicates_removed", stats.total_duplicates_removed},
+      {"spilled_bytes", stats.total_spilled_bytes},
+      {"rank_sparse_hits", stats.total_rank_sparse_hits},
+      {"rank_warmstart_reuses", stats.total_rank_warmstart_reuses},
+      {"rank_dense_fallbacks", stats.total_rank_dense_fallbacks},
+      {"rank_gathered_nnz", stats.total_rank_gathered_nnz},
+  };
+}
+
+/// A distributed solve's totals are the sums of its rank ledgers.
+inline void expect_totals_are_rank_sums(const SolveStats& total,
+                                        const std::vector<SolveStats>& ranks) {
+  std::map<std::string, std::uint64_t> sums = solve_totals(SolveStats{});
+  for (const SolveStats& rank : ranks) {
+    for (const auto& [name, value] : solve_totals(rank)) sums[name] += value;
+  }
+  EXPECT_EQ(solve_totals(total), sums);
 }
 
 }  // namespace elmo

@@ -133,12 +133,14 @@ TEST(Knockout, MinimalCutSets) {
   ReactionId r3 = f.network.reaction_id("r3");
   for (const auto& cut : cuts) {
     if (cut.size() == 1 && cut[0] == r3) has_r3 = true;
-    if (cut.size() == 2)
+    if (cut.size() == 2) {
       EXPECT_TRUE(cut[0] != r3 && cut[1] != r3);
+    }
     // Every cut actually cuts: no producing mode survives.
     auto survivors = surviving_modes(f.result.modes, cut);
-    for (std::size_t m : survivors)
+    for (std::size_t m : survivors) {
       EXPECT_TRUE(f.result.modes[m][r9].is_zero());
+    }
   }
   EXPECT_TRUE(has_r3);
   // {r1, r8r} must be a pair cut: every D-producing mode imports A or B.
@@ -154,7 +156,6 @@ TEST(Knockout, MinimalCutSets) {
 }
 
 TEST(Knockout, NoProducingModesMeansNoCuts) {
-  auto& f = toy();
   // A fresh network copy with r3 removed has no Dext production at all.
   std::vector<std::vector<BigInt>> none;
   EXPECT_TRUE(minimal_cut_sets_2(none, 0, 9).empty());

@@ -1,5 +1,6 @@
 // Cross-algorithm consistency on a real mid-size network (E. coli core,
-// 857 EFMs): all four algorithms, several configurations, one answer.
+// 857 EFMs): all four algorithms, every rank-test backend, several
+// configurations, one answer.
 #include <gtest/gtest.h>
 
 #include "core/api.hpp"
@@ -20,23 +21,43 @@ TEST(CrossAlgorithm, ReferenceSatisfiesInvariants) {
   check_efm_invariants(net, reference().modes);
 }
 
-TEST(CrossAlgorithm, CombinatorialParallelMatches) {
-  for (int ranks : {2, 5}) {
+TEST(CrossAlgorithm, DriverBackendGridMatches) {
+  // Every driver constructs the same elementarity oracle; each (driver,
+  // backend) cell, and the combinatorial test on the drivers that accept
+  // it, must reproduce the reference set.
+  struct Driver {
+    const char* name;
+    Algorithm algorithm;
+    int ranks;
+    int threads;
+    bool combinatorial;  // also run the support-subset test
+  };
+  const Driver drivers[] = {
+      {"serial", Algorithm::kSerial, 1, 1, true},
+      {"alg2 3 ranks", Algorithm::kCombinatorialParallel, 3, 1, true},
+      {"alg2 2x2 smp", Algorithm::kCombinatorialParallel, 2, 2, true},
+      {"alg4 3 ranks", Algorithm::kPartitioned, 3, 1, false},
+      {"combined", Algorithm::kCombined, 2, 1, false},
+  };
+  for (const Driver& driver : drivers) {
     EfmOptions options;
-    options.algorithm = Algorithm::kCombinatorialParallel;
-    options.num_ranks = ranks;
-    auto result = compute_efms(models::ecoli_core(), options);
-    EXPECT_EQ(result.modes, reference().modes) << "ranks " << ranks;
+    options.algorithm = driver.algorithm;
+    options.num_ranks = driver.ranks;
+    options.threads_per_rank = driver.threads;
+    for (auto backend : {RankTestBackend::kSparse, RankTestBackend::kModular,
+                         RankTestBackend::kExact}) {
+      options.rank_backend = backend;
+      auto result = compute_efms(models::ecoli_core(), options);
+      EXPECT_EQ(result.modes, reference().modes)
+          << driver.name << " backend " << static_cast<int>(backend);
+    }
+    if (driver.combinatorial) {
+      options.test = ElementarityTest::kCombinatorial;
+      auto result = compute_efms(models::ecoli_core(), options);
+      EXPECT_EQ(result.modes, reference().modes)
+          << driver.name << " combinatorial test";
+    }
   }
-}
-
-TEST(CrossAlgorithm, HybridMatches) {
-  EfmOptions options;
-  options.algorithm = Algorithm::kCombinatorialParallel;
-  options.num_ranks = 2;
-  options.threads_per_rank = 3;
-  auto result = compute_efms(models::ecoli_core(), options);
-  EXPECT_EQ(result.modes, reference().modes);
 }
 
 TEST(CrossAlgorithm, CombinedMatchesAcrossQsub) {
@@ -49,28 +70,6 @@ TEST(CrossAlgorithm, CombinedMatchesAcrossQsub) {
     EXPECT_EQ(result.modes, reference().modes) << "qsub " << qsub;
     EXPECT_EQ(result.subsets.size(), std::size_t{1} << qsub);
   }
-}
-
-TEST(CrossAlgorithm, PartitionedMatches) {
-  EfmOptions options;
-  options.algorithm = Algorithm::kPartitioned;
-  options.num_ranks = 3;
-  auto result = compute_efms(models::ecoli_core(), options);
-  EXPECT_EQ(result.modes, reference().modes);
-}
-
-TEST(CrossAlgorithm, ExactRankBackendMatches) {
-  EfmOptions options;
-  options.rank_backend = RankTestBackend::kExact;
-  auto result = compute_efms(models::ecoli_core(), options);
-  EXPECT_EQ(result.modes, reference().modes);
-}
-
-TEST(CrossAlgorithm, CombinatorialElementarityTestMatches) {
-  EfmOptions options;
-  options.test = ElementarityTest::kCombinatorial;
-  auto result = compute_efms(models::ecoli_core(), options);
-  EXPECT_EQ(result.modes, reference().modes);
 }
 
 TEST(CrossAlgorithm, BigIntKernelMatches) {

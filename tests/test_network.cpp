@@ -25,7 +25,7 @@ TEST(Network, AddAndLookup) {
   auto r = net.add_reaction("r1", false, {{"Xext", -1}, {"A", 1}});
   EXPECT_EQ(net.find_reaction("r1"), r);
   EXPECT_EQ(net.reaction_id("r1"), r);
-  EXPECT_THROW(net.reaction_id("nope"), InvalidArgumentError);
+  EXPECT_THROW((void)net.reaction_id("nope"), InvalidArgumentError);
 }
 
 TEST(Network, DuplicateNamesRejected) {

@@ -7,6 +7,7 @@
 
 #include "compress/compression.hpp"
 #include "efm_test_util.hpp"
+#include "models/ecoli_core.hpp"
 #include "models/random_network.hpp"
 #include "models/toy.hpp"
 #include "nullspace/efm.hpp"
@@ -15,19 +16,23 @@ namespace elmo {
 namespace {
 
 TEST(ParallelSolver, SingleRankMatchesSerialExactly) {
-  Network net = models::toy_network();
-  auto compressed = compress(net);
-  auto problem = to_problem<CheckedI64>(compressed);
-  auto serial = solve_efms<CheckedI64, Bitset64>(problem);
-  ParallelOptions options;
-  options.num_ranks = 1;
-  auto parallel =
-      solve_combinatorial_parallel<CheckedI64, Bitset64>(problem, options);
-  EXPECT_EQ(expand_and_canonicalize(serial.columns, compressed, net),
-            expand_and_canonicalize(parallel.columns, compressed, net));
-  EXPECT_EQ(parallel.stats.total_pairs_probed,
-            serial.stats.total_pairs_probed);
-  EXPECT_EQ(parallel.stats.total_accepted, serial.stats.total_accepted);
+  // One rank runs Algorithm 1's iterations through Algorithm 2's driver:
+  // the mode set and every ledger total must match the serial solver's.
+  for (const Network& net : {models::toy_network(), models::ecoli_core()}) {
+    auto compressed = compress(net);
+    auto problem = to_problem<CheckedI64>(compressed);
+    auto serial = solve_efms<CheckedI64, DynBitset>(problem);
+    ParallelOptions options;
+    options.num_ranks = 1;
+    auto parallel =
+        solve_combinatorial_parallel<CheckedI64, DynBitset>(problem, options);
+    EXPECT_EQ(expand_and_canonicalize(serial.columns, compressed, net),
+              expand_and_canonicalize(parallel.columns, compressed, net));
+    EXPECT_EQ(solve_totals(parallel.stats), solve_totals(serial.stats));
+    EXPECT_GT(parallel.stats.total_rank_warmstart_reuses, 0u);
+    EXPECT_EQ(parallel.stats.peak_columns, serial.stats.peak_columns);
+    EXPECT_EQ(parallel.stats.iterations, serial.stats.iterations);
+  }
 }
 
 class RankCountTest : public ::testing::TestWithParam<int> {};
@@ -74,15 +79,23 @@ TEST(ParallelSolver, RandomNetworksAgreeWithSerial) {
     Network net = models::random_network(spec);
     auto compressed = compress(net);
     auto problem = to_problem<CheckedI64>(compressed);
+    SolverOptions exact;
+    exact.rank_backend = RankTestBackend::kExact;
     auto serial = expand_and_canonicalize(
-        solve_efms<CheckedI64, Bitset64>(problem).columns, compressed, net);
-    ParallelOptions options;
-    options.num_ranks = 3;
-    auto parallel =
-        solve_combinatorial_parallel<CheckedI64, Bitset64>(problem, options);
-    EXPECT_EQ(expand_and_canonicalize(parallel.columns, compressed, net),
-              serial)
-        << "seed " << seed;
+        solve_efms<CheckedI64, Bitset64>(problem, exact).columns, compressed,
+        net);
+    for (auto backend : {RankTestBackend::kSparse, RankTestBackend::kModular,
+                         RankTestBackend::kExact}) {
+      ParallelOptions options;
+      options.num_ranks = 3;
+      options.solver.rank_backend = backend;
+      auto parallel =
+          solve_combinatorial_parallel<CheckedI64, Bitset64>(problem, options);
+      EXPECT_EQ(expand_and_canonicalize(parallel.columns, compressed, net),
+                serial)
+          << "seed " << seed << " backend " << static_cast<int>(backend);
+      expect_totals_are_rank_sums(parallel.stats, parallel.per_rank);
+    }
   }
 }
 

@@ -57,6 +57,8 @@ TEST(PartitionedSolver, PairCountMatchesSerial) {
   // the toy has none).
   EXPECT_EQ(result.stats.total_pairs_probed,
             serial.stats.total_pairs_probed);
+  expect_totals_are_rank_sums(result.stats, result.per_rank);
+  EXPECT_EQ(result.stats.peak_columns, serial.stats.peak_columns);
 }
 
 TEST(PartitionedSolver, RandomNetworksAgreeWithSerial) {
@@ -68,14 +70,22 @@ TEST(PartitionedSolver, RandomNetworksAgreeWithSerial) {
     Network net = models::random_network(spec);
     auto compressed = compress(net);
     auto problem = to_problem<CheckedI64>(compressed);
+    SolverOptions exact;
+    exact.rank_backend = RankTestBackend::kExact;
     auto serial = canonical(
-        solve_efms<CheckedI64, Bitset64>(problem).columns, compressed, net);
-    PartitionedOptions options;
-    options.num_ranks = 3;
-    auto result =
-        solve_partitioned_parallel<CheckedI64, Bitset64>(problem, options);
-    EXPECT_EQ(canonical(result.columns, compressed, net), serial)
-        << "seed " << spec.seed;
+        solve_efms<CheckedI64, Bitset64>(problem, exact).columns, compressed,
+        net);
+    for (auto backend : {RankTestBackend::kSparse, RankTestBackend::kModular,
+                         RankTestBackend::kExact}) {
+      PartitionedOptions options;
+      options.num_ranks = 3;
+      options.solver.rank_backend = backend;
+      auto result =
+          solve_partitioned_parallel<CheckedI64, Bitset64>(problem, options);
+      EXPECT_EQ(canonical(result.columns, compressed, net), serial)
+          << "seed " << spec.seed << " backend " << static_cast<int>(backend);
+      expect_totals_are_rank_sums(result.stats, result.per_rank);
+    }
   }
 }
 

@@ -44,7 +44,7 @@ TEST(Error, HierarchyCatchableAsBase) {
 TEST(Timer, StopwatchAdvances) {
   Stopwatch watch;
   volatile double sink = 0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GT(watch.seconds(), 0.0);
   double before = watch.seconds();
   watch.reset();
@@ -119,7 +119,7 @@ TEST(Timer, ScopedPhaseAddsOnDestruction) {
   {
     ScopedPhase phase(timer, "work");
     volatile int sink = 0;
-    for (int i = 0; i < 1000; ++i) sink += i;
+    for (int i = 0; i < 1000; ++i) sink = sink + i;
   }
   EXPECT_GT(timer.seconds("work"), 0.0);
 }

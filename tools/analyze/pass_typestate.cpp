@@ -19,6 +19,9 @@
 //                     tests of each iteration; the next begin_iteration
 //                     invalidates the cached pivots
 //                     (rule warm-test-before-begin)
+//   Elementarity      the drivers' per-candidate oracle wrapping the
+//                     testers: the same staging rule, on the object the
+//                     solver drivers actually hold
 //
 // Checking model: per function, tracked locals (declared by type name,
 // `auto x = ...Type...` bindings, containers of the type, and range-for
@@ -53,9 +56,10 @@ constexpr std::size_t npos = CallGraph::npos;
 // One event of a machine: a state set it must not fire from (bad_mask),
 // the state every survivor collapses to (0 = unchanged), and the rule the
 // bad states trip.  `must` narrows a rule to definite violations: it fires
-// only when EVERY possible state is bad — used where the repo correlates
-// staging and use through a boolean flag the branch-merge cannot see
-// (begin_iteration and is_elementary both under `if (use_sparse)`).
+// only when EVERY possible state is bad — used where a deferred
+// per-candidate lambda runs against the enclosing function's final states,
+// which keep the zero-trip loop path's unstaged state alongside the staged
+// one.
 struct EventDef {
   const char* name;
   unsigned bad_mask;
@@ -86,8 +90,20 @@ constexpr unsigned kWriting = 2;   // SpillFile: append_block happened
 constexpr unsigned kReading = 4;   // SpillFile: for_each_block happened
 constexpr unsigned kActive = 1;    // MemoryLease: holds its charge
 constexpr unsigned kReleased = 2;  // MemoryLease: released
-constexpr unsigned kNoIter = 1;    // SparseRankTester: no iteration staged
-constexpr unsigned kIter = 2;      // SparseRankTester: begin_iteration ran
+constexpr unsigned kNoIter = 1;    // rank testers: no iteration staged
+constexpr unsigned kIter = 2;      // rank testers: begin_iteration ran
+
+// SparseRankTester and the Elementarity oracle that wraps it share one
+// protocol: stage the iteration, then test its candidates.
+std::vector<EventDef> staged_test_events() {
+  return {
+      {"begin_iteration", 0, false, kIter, nullptr, nullptr},
+      {"is_elementary", kNoIter, true, 0, "warm-test-before-begin",
+       "runs a warm elementarity test on a path with no begin_iteration for "
+       "the current iteration — stale cached pivots from the previous "
+       "iteration would be reused"},
+  };
+}
 
 const std::vector<MachineDef>& machines() {
   static const std::vector<MachineDef> kMachines = {
@@ -114,16 +130,8 @@ const std::vector<MachineDef>& machines() {
             "early-release branch merges back into this use"},
            {"release", 0, false, kReleased, nullptr, nullptr},
        }},
-      {"SparseRankTester",
-       "SparseRankTester",
-       kNoIter,
-       {
-           {"begin_iteration", 0, false, kIter, nullptr, nullptr},
-           {"is_elementary", kNoIter, true, 0, "warm-test-before-begin",
-            "runs a warm elementarity test on a path with no "
-            "begin_iteration for the current iteration — stale cached "
-            "pivots from the previous iteration would be reused"},
-       }},
+      {"SparseRankTester", "SparseRankTester", kNoIter, staged_test_events()},
+      {"Elementarity", "Elementarity", kNoIter, staged_test_events()},
   };
   return kMachines;
 }
@@ -529,7 +537,7 @@ void TypestatePass::discover_vars(FnCtx& ctx, Env& env) {
     env.vars.emplace(var, st);
   }
   // Range-for aliases over tracked containers:
-  // `for (auto& tester : sparse_testers)` drives the container's machine.
+  // `for (auto& oracle : oracles)` drives the container's machine.
   for (std::size_t i = f.body_begin + 1; i + 1 < f.body_end; ++i) {
     if (!toks[i].ident() || toks[i].text != "for" || !toks[i + 1].is("(")) {
       continue;
