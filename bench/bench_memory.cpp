@@ -125,19 +125,20 @@ int main(int argc, char** argv) {
   json << "  \"algorithm4\": [";
   bool first_a4 = true;
   for (int ranks : {2, 4, 8}) {
-    PartitionedOptions options;
+    ParallelOptions options;
     options.num_ranks = ranks;
     auto result =
         solve_partitioned_parallel<CheckedI64, DynBitset>(problem, options);
+    const std::size_t peak_rank_bytes = result.ranks.max_memory_peak();
     char ratio_text[32];
     std::snprintf(ratio_text, sizeof ratio_text, "%.2fx",
-                  static_cast<double>(result.peak_rank_bytes) /
+                  static_cast<double>(peak_rank_bytes) /
                       static_cast<double>(baseline.peak_rank_memory));
-    a4.add_row({std::to_string(ranks), bytes_str(result.peak_rank_bytes),
+    a4.add_row({std::to_string(ranks), bytes_str(peak_rank_bytes),
                 ratio_text,
                 with_commas(result.ranks.total_bytes_sent())});
     json << (first_a4 ? "" : ",") << "\n    {\"ranks\": " << ranks
-         << ", \"peak_rank_bytes\": " << result.peak_rank_bytes
+         << ", \"peak_rank_bytes\": " << peak_rank_bytes
          << ", \"message_bytes\": " << result.ranks.total_bytes_sent()
          << "}";
     first_a4 = false;

@@ -102,7 +102,8 @@ EfmResult run_with(const CompressedProblem& compressed,
       result.stats = std::move(solved.stats);
       break;
     }
-    case Algorithm::kCombinatorialParallel: {
+    case Algorithm::kCombinatorialParallel:
+    case Algorithm::kPartitioned: {
       ParallelOptions parallel;
       parallel.num_ranks = options.num_ranks;
       parallel.threads_per_rank = options.threads_per_rank;
@@ -111,26 +112,14 @@ EfmResult run_with(const CompressedProblem& compressed,
       parallel.fault_plan = options.fault_plan;
       parallel.deadlines = options.subset_deadlines;
       auto solved =
-          solve_combinatorial_parallel<Scalar, Support>(problem, parallel);
+          options.algorithm == Algorithm::kPartitioned
+              ? solve_partitioned_parallel<Scalar, Support>(problem, parallel)
+              : solve_combinatorial_parallel<Scalar, Support>(problem,
+                                                              parallel);
       columns = std::move(solved.columns);
       result.stats = std::move(solved.stats);
       result.message_bytes = solved.ranks.total_bytes_sent();
       result.peak_rank_memory = solved.ranks.max_memory_peak();
-      result.ranks = make_rank_entries(solved.ranks, solved.per_rank);
-      break;
-    }
-    case Algorithm::kPartitioned: {
-      PartitionedOptions partitioned;
-      partitioned.num_ranks = options.num_ranks;
-      partitioned.solver = solver;
-      partitioned.memory_budget_per_rank = options.memory_budget_per_rank;
-      partitioned.fault_plan = options.fault_plan;
-      auto solved =
-          solve_partitioned_parallel<Scalar, Support>(problem, partitioned);
-      columns = std::move(solved.columns);
-      result.stats = std::move(solved.stats);
-      result.message_bytes = solved.ranks.total_bytes_sent();
-      result.peak_rank_memory = solved.peak_rank_bytes;
       result.ranks = make_rank_entries(solved.ranks, solved.per_rank);
       break;
     }

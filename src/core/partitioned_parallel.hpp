@@ -32,11 +32,23 @@
 // replicated during an iteration.  For rows where the positive side is the
 // larger one this bounds the saving; the processing-order heuristics make
 // that uncommon in practice (the bench reports actual peaks).
+//
+// Bookkeeping: the steps above are this driver's own data movement; around
+// them every iteration opens and closes through solve_nullspace's
+// IterationFrame (nullspace/solver.hpp) — the shutdown check, --mem-limit
+// residency (each rank charges its shard plus the positive replica), the
+// trace span, the audits, the stats ledger, the metrics and the observer.
+// History rows (rank 0's) carry the GLOBAL columns_after but rank 0's own
+// counters: positives, negatives and pairs_probed are its pairing, accepted
+// and duplicates_removed its share of the world's.  The options and result
+// types are Algorithm 2's; threads_per_rank must be 1.
 #pragma once
 
-#include <optional>
+#include <iterator>
+#include <vector>
 
 #include "bigint/checked.hpp"
+#include "core/combinatorial_parallel.hpp"
 #include "mpsim/communicator.hpp"
 #include "mpsim/serialize.hpp"
 #include "nullspace/elementarity.hpp"
@@ -51,52 +63,26 @@
 
 namespace elmo {
 
-struct PartitionedOptions {
-  int num_ranks = 4;
-  SolverOptions solver;
-  std::size_t memory_budget_per_rank = 0;
-  /// Optional deterministic fault injection; see mpsim/fault.hpp.
-  std::shared_ptr<mpsim::FaultPlan> fault_plan;
-};
-
 template <typename Scalar, typename Support>
-struct PartitionedSolveResult {
-  std::vector<FluxColumn<Scalar, Support>> columns;  // gathered at the end
-  SolveStats stats;
-  mpsim::RunReport ranks;
-  /// Peak per-rank bytes (shard + replicated positives) — the quantity
-  /// Algorithm 4 is designed to shrink versus Algorithm 2's full replica.
-  std::size_t peak_rank_bytes = 0;
-  /// Each rank's own ledger, for per-rank run reports.
-  std::vector<SolveStats> per_rank;
-};
-
-template <typename Scalar, typename Support>
-PartitionedSolveResult<Scalar, Support> solve_partitioned_parallel(
-    const EfmProblem<Scalar>& problem, const PartitionedOptions& options) {
+ParallelSolveResult<Scalar, Support> solve_partitioned_parallel(
+    const EfmProblem<Scalar>& problem, const ParallelOptions& options) {
+  using Column = FluxColumn<Scalar, Support>;
   const int num_ranks = options.num_ranks;
-  ELMO_REQUIRE(num_ranks >= 1, "num_ranks must be positive");
+  ELMO_REQUIRE(options.threads_per_rank <= 1,
+               "the partitioned algorithm runs one worker per rank");
   ELMO_REQUIRE(options.solver.test == ElementarityTest::kRank,
                "the partitioned algorithm requires the (local) rank test");
 
-  auto prepared = prepare_problem(problem);
-  SolverOptions solver_options = options.solver;
-  solver_options.exclude_rows = prepared.excluded(options.solver.exclude_rows);
-
-  std::vector<SolveStats> rank_stats(static_cast<std::size_t>(num_ranks));
-  std::optional<std::vector<FluxColumn<Scalar, Support>>> final_columns;
-
-  auto body = [&](mpsim::Communicator& comm) {
-    using Column = FluxColumn<Scalar, Support>;
+  auto rank_solve = [&](mpsim::Communicator& comm,
+                        const EfmProblem<Scalar>& prepared,
+                        const SolverOptions& solver_options) {
     const int rank = comm.rank();
-    SolveStats& stats = rank_stats[static_cast<std::size_t>(rank)];
-
+    SolveResult<Scalar, Support> result;
+    SolveStats& stats = result.stats;
     auto basis = compute_initial_basis<Scalar, Support>(
-        prepared.problem, solver_options.ordering,
-        solver_options.exclude_rows);
-    stats.peak_columns = basis.columns.size();
+        prepared, solver_options.ordering, solver_options.exclude_rows);
     Elementarity<Scalar, Support> oracle(
-        prepared.problem.stoichiometry, basis.columns, solver_options.test,
+        prepared.stoichiometry, basis.columns, solver_options.test,
         solver_options.rank_backend);
     auto is_elementary = [&oracle](const Support& support) {
       return oracle.is_elementary(support);
@@ -108,15 +94,16 @@ PartitionedSolveResult<Scalar, Support> solve_partitioned_parallel(
       if (static_cast<int>(c % num_ranks) == rank)
         shard.push_back(std::move(basis.columns[c]));
     }
+    IterationFrame<Scalar, Support> frame(
+        prepared.stoichiometry, solver_options, stats, rank == 0,
+        [&comm](std::size_t bytes) { comm.set_memory_usage(bytes); });
+    frame.start(basis.columns.size(), matrix_storage_bytes(shard));
 
     for (std::size_t row : basis.processing_order) {
-      obs::TraceSpan iteration_span(
-          "iteration", "solve",
-          obs::trace() != nullptr ? "row " + std::to_string(row)
-                                  : std::string());
+      const obs::TraceSpan span = frame.open(row);
       IterationStats iteration;
       iteration.row = row;
-      const bool row_reversible = prepared.problem.reversible[row];
+      const bool row_reversible = prepared.reversible[row];
 
       // 1. Local classification.
       auto cls = classify_row(shard, row);
@@ -139,26 +126,16 @@ PartitionedSolveResult<Scalar, Support> solve_partitioned_parallel(
       }
 
       // 3. Pair the full positive set against LOCAL negatives; across
-      // ranks this covers every pos x neg pair exactly once.
+      // ranks this covers every pos x neg pair exactly once.  The local
+      // zero columns ride along for existing-duplicate suppression.
       std::vector<Column> pairing;
-      pairing.reserve(all_positives.size() + cls.negative.size());
-      RowClassification pairing_cls;
-      for (auto& column : all_positives) {
-        pairing_cls.positive.push_back(
-            static_cast<std::uint32_t>(pairing.size()));
-        pairing.push_back(std::move(column));
-      }
-      for (std::uint32_t j : cls.negative) {
-        pairing_cls.negative.push_back(
-            static_cast<std::uint32_t>(pairing.size()));
-        pairing.push_back(shard[j]);
-      }
-      // Existing-duplicate suppression needs the local zero columns.
-      for (std::uint32_t j : cls.zero) {
-        pairing_cls.zero.push_back(
-            static_cast<std::uint32_t>(pairing.size()));
-        pairing.push_back(shard[j]);
-      }
+      pairing.reserve(all_positives.size() + cls.negative.size() +
+                      cls.zero.size());
+      std::move(all_positives.begin(), all_positives.end(),
+                std::back_inserter(pairing));
+      for (std::uint32_t j : cls.negative) pairing.push_back(shard[j]);
+      for (std::uint32_t j : cls.zero) pairing.push_back(shard[j]);
+      const auto pairing_cls = classify_row(pairing, row);
       iteration.positives = pairing_cls.positive.size();
       iteration.negatives = pairing_cls.negative.size();
 
@@ -172,6 +149,7 @@ PartitionedSolveResult<Scalar, Support> solve_partitioned_parallel(
                          solver_options.block_ref_cap, is_elementary,
                          iteration, stats.phases, accepted);
       oracle.drain(iteration);
+      frame.audit_accepted(oracle.exact(), accepted, row);
 
       // 4. Global dedup by candidate supports: a candidate produced on two
       // ranks (same support) is kept only by the lowest rank.  Duplicates
@@ -213,19 +191,8 @@ PartitionedSolveResult<Scalar, Support> solve_partitioned_parallel(
 
       // 5. Rebuild the local shard: zero + positive + (negative if
       // reversible) + locally accepted candidates.
-      std::vector<Column> next;
-      next.reserve(cls.zero.size() + cls.positive.size() +
-                   (row_reversible ? cls.negative.size() : 0) +
-                   accepted.size());
-      for (std::uint32_t j : cls.zero) next.push_back(std::move(shard[j]));
-      for (std::uint32_t j : cls.positive)
-        next.push_back(std::move(shard[j]));
-      if (row_reversible) {
-        for (std::uint32_t j : cls.negative)
-          next.push_back(std::move(shard[j]));
-      }
-      for (auto& column : accepted) next.push_back(std::move(column));
-      shard = std::move(next);
+      shard = merge_next(std::move(shard), cls, row_reversible,
+                         std::move(accepted));
 
       // 6. Rebalance: even out shard sizes (heaviest ranks ship columns to
       // the lightest; implemented as a gather of sizes + deterministic
@@ -287,47 +254,25 @@ PartitionedSolveResult<Scalar, Support> solve_partitioned_parallel(
         }
       }
 
-      const std::size_t shard_bytes = matrix_storage_bytes(shard);
-      const std::size_t replica_bytes = matrix_storage_bytes(all_positives);
-      stats.peak_matrix_bytes =
-          std::max(stats.peak_matrix_bytes, shard_bytes + replica_bytes);
-      comm.set_memory_usage(shard_bytes + replica_bytes);
-      stats.absorb(iteration);
-      publish_iteration_metrics(iteration);
-      if (rank == 0) obs::trace_counter("shard columns", shard.size());
-      if (options.solver.on_iteration && rank == 0)
-        options.solver.on_iteration(iteration);
+      frame.close(iteration, shard,
+                  matrix_storage_bytes(shard) +
+                      matrix_storage_bytes(all_positives));
     }
 
     // Gather all shards to rank 0 for the final result.
     auto batches = comm.all_gather(mpsim::encode_columns(shard));
     if (rank == 0) {
-      std::vector<Column> gathered;
       for (const auto& batch : batches) {
         auto incoming = mpsim::decode_columns<Scalar, Support>(batch);
-        gathered.insert(gathered.end(),
-                        std::make_move_iterator(incoming.begin()),
-                        std::make_move_iterator(incoming.end()));
+        result.columns.insert(result.columns.end(),
+                              std::make_move_iterator(incoming.begin()),
+                              std::make_move_iterator(incoming.end()));
       }
-      // Rank 0 is the only writer; run_ranks joins every thread before
-      // the spawner reads it.  analyze:shared-ok
-      final_columns = unsplit_columns(std::move(gathered), prepared);
+      frame.finish(result.columns);
     }
+    return result;
   };
-
-  mpsim::RunOptions run_options;
-  run_options.memory_budget_per_rank = options.memory_budget_per_rank;
-  run_options.fault_plan = options.fault_plan;
-  auto report = mpsim::run_ranks(num_ranks, body, run_options);
-
-  PartitionedSolveResult<Scalar, Support> result;
-  ELMO_CHECK(final_columns.has_value(), "rank 0 produced no result");
-  result.columns = std::move(*final_columns);
-  result.ranks = std::move(report);
-  result.stats = SolveStats::reduce_ranks(rank_stats);
-  result.peak_rank_bytes = result.stats.peak_matrix_bytes;
-  result.per_rank = std::move(rank_stats);
-  return result;
+  return run_world<Scalar, Support>(problem, options, rank_solve);
 }
 
 }  // namespace elmo

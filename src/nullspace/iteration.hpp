@@ -1,9 +1,11 @@
 // One iteration of the Nullspace Algorithm (one processed row).
 //
 // The steps mirror Algorithm 1/2 of the paper and are split into free
-// functions so every driver (serial Algorithm 1, Algorithm 2's rank
-// slices, Algorithm 4's shard pairings, the subset estimator) shares the
-// same kernel:
+// functions so every driver shares the same kernel: solve_nullspace
+// (nullspace/solver.hpp) — serial Algorithm 1 and each Algorithm 2 rank
+// over its pair slice —, Algorithm 4's shard pairings
+// (core/partitioned_parallel.hpp) and the subset estimator's prefix run
+// (core/estimate.hpp):
 //
 //   classify_row        - split columns into zero / positive / negative
 //   process_pair_range  - over a flattened pair-index range (the range is

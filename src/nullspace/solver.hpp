@@ -1,24 +1,34 @@
-// Algorithm 1: the serial Nullspace Algorithm.
+// Algorithm 1, the serial Nullspace Algorithm, and the one iteration loop
+// over a replicated matrix.
 //
-// Drives the iteration kernel over the processing order produced by
-// compute_initial_basis.  Also the building block the parallel algorithms
-// reuse: Algorithm 2 replaces the candidate-generation range with a
-// per-rank slice, Algorithm 3 runs this with an exclusion set and the
-// Proposition-1 filter.
+// solve_nullspace drives the iteration kernel (nullspace/iteration.hpp)
+// over the processing order produced by compute_initial_basis.  Algorithm 2
+// runs each of its ranks through this same loop
+// (core/combinatorial_parallel.hpp): the rank hands in a RankPart — its
+// slice of every iteration's pos x neg pair space, its SMP worker count and
+// the Communicate&Merge exchange built from its Communicator.  Algorithm 3
+// runs Algorithm 2 per subset with an exclusion set and the Proposition-1
+// filter.  Algorithm 4 (core/partitioned_parallel.hpp) moves its own data
+// but opens and closes every iteration through the same IterationFrame.
 #pragma once
 
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "check/check.hpp"
 #include "nullspace/elementarity.hpp"
 #include "nullspace/initial_basis.hpp"
 #include "nullspace/iteration.hpp"
+#include "nullspace/pairgen.hpp"
 #include "nullspace/problem.hpp"
 #include "nullspace/reversible_split.hpp"
 #include "nullspace/spill.hpp"
 #include "nullspace/stats.hpp"
 #include "obs/obs.hpp"
+#include "parallel/parallel_for.hpp"
+#include "parallel/partitioner.hpp"
+#include "parallel/thread_pool.hpp"
 #include "resource/governor.hpp"
 #include "resource/shutdown.hpp"
 #include "support/timer.hpp"
@@ -70,136 +80,303 @@ std::size_t matrix_storage_bytes(
   return bytes;
 }
 
-/// One iteration's generate-dedup-test step over pair range [begin, end),
-/// appending accepted candidates to `accepted`.  This is the one place the
-/// serial solver and Algorithm 2 decide whether an iteration runs in
-/// memory or through the chunked out-of-core driver.  Every governed
-/// iteration takes the chunked driver; whether chunks actually hit disk is
-/// decided per chunk from the live headroom under the limit (see
-/// process_pair_range_spilled).  A coarse admit() pre-check would have to
-/// predict the candidate transient, and a spike in an iteration whose
-/// matrix is still small slips past any such projection.
-template <typename Scalar, typename Support, typename TestFn>
-void run_pair_range(const SolverOptions& options,
-                    const std::vector<FluxColumn<Scalar, Support>>& columns,
-                    std::size_t row, const RowClassification& cls,
-                    std::size_t rank, std::uint64_t begin, std::uint64_t end,
-                    const TestFn& is_elementary, IterationStats& iteration,
-                    PhaseTimer& phases,
-                    std::vector<FluxColumn<Scalar, Support>>& accepted) {
-  const bool spill = options.spill.always ||
-                     (options.spill.enabled && !options.ignore_mem_limit &&
-                      resource::MemoryGovernor::global().enabled());
-  if (spill) {
-    iteration.spilled_bytes += process_pair_range_spilled(
-        columns, row, cls, rank, begin, end, options.block_ref_cap,
-        is_elementary, iteration, phases, accepted, options.spill);
-  } else {
-    process_pair_range(columns, row, cls, rank, begin, end,
-                       options.block_ref_cap, is_elementary, iteration, phases,
-                       accepted);
+/// The bookkeeping around every iteration of every Nullspace driver:
+/// solve_nullspace (serial and each Algorithm 2 rank) and Algorithm 4's
+/// shard loop open and close their iterations here.  The `leader` (rank 0;
+/// the serial solver is its own) keeps the history and reports the trace
+/// counter, the observer calls and the final minimality audit.  `charge`,
+/// when set, receives the rank's resident bytes after every iteration (the
+/// simulated per-rank memory budget).
+template <typename Scalar, typename Support>
+class IterationFrame {
+ public:
+  using Columns = std::vector<FluxColumn<Scalar, Support>>;
+
+  IterationFrame(const Matrix<Scalar>& stoichiometry,
+                 const SolverOptions& options, SolveStats& stats, bool leader,
+                 std::function<void(std::size_t)> charge = {})
+      : stoichiometry_(stoichiometry), options_(options), stats_(stats),
+        leader_(leader), charge_(std::move(charge)) {
+    stats_.keep_history = options_.record_history && leader_;
   }
+
+  /// Charge the starting matrix: `columns` seeds peak_columns; the governor
+  /// lease is the resident floor the chunked candidate driver's flushes
+  /// respect (the matrix cannot spill; candidates can).
+  void start(std::size_t columns, std::size_t resident_bytes) {
+    stats_.peak_columns = columns;
+    matrix_lease_.set(resident_bytes);
+  }
+
+  /// Open the iteration processing `row`: honour a shutdown request,
+  /// enforce --mem-limit residency, and return the iteration's trace span
+  /// (label fixed, the row in args.detail, formatted only when tracing).
+  [[nodiscard]] obs::TraceSpan open(std::size_t row) const {
+    const std::string where =
+        "nullspace iteration (row " + std::to_string(row) + ")";
+    resource::throw_if_shutdown_requested(where);
+    if (!options_.ignore_mem_limit)
+      resource::MemoryGovernor::global().enforce_resident(where);
+    return obs::TraceSpan("iteration", "solve",
+                          obs::trace() != nullptr ? "row " + std::to_string(row)
+                                                  : std::string());
+  }
+
+  /// rank-nullity audit: re-verify the candidates this rank accepted with
+  /// the exact Bareiss backend, independent of the (possibly Monte-Carlo
+  /// modular) test that accepted them.
+  void audit_accepted(RankTester<Scalar>& exact, const Columns& accepted,
+                      std::size_t row) const {
+    if (!options_.audit || options_.test != ElementarityTest::kRank) return;
+    check::InvariantAuditor{}.check_rank_nullity(
+        exact, accepted, "nullspace row " + std::to_string(row));
+  }
+
+  /// Close the iteration: charge `resident_bytes` (governor lease, peak,
+  /// per-rank budget), book `iteration` into the stats and the metrics
+  /// registry, audit S*R = 0 on the columns this rank holds, and report to
+  /// the observer.
+  void close(const IterationStats& iteration, const Columns& columns,
+             std::size_t resident_bytes) {
+    matrix_lease_.set(resident_bytes);
+    stats_.peak_matrix_bytes =
+        std::max(stats_.peak_matrix_bytes, resident_bytes);
+    stats_.absorb(iteration);
+    publish_iteration_metrics(iteration);
+    if (charge_) charge_(resident_bytes);
+    if (options_.audit) {
+      // Columns must stay inside null(S) across every Merge (paper §II.A).
+      check::InvariantAuditor{}.check_nullspace_product(
+          stoichiometry_, columns,
+          "nullspace after row " + std::to_string(iteration.row));
+    }
+    if (!leader_) return;
+    obs::trace_counter("columns", iteration.columns_after);
+    if (options_.on_iteration) options_.on_iteration(iteration);
+  }
+
+  /// Audit the final column set as a support antichain (elementarity).
+  /// Skipped for divide-and-conquer sub-solves: the combined driver audits
+  /// its merged final set instead.
+  void finish(const Columns& columns) const {
+    if (options_.audit && leader_ && options_.exclude_rows.empty()) {
+      check::InvariantAuditor{}.check_support_minimality(columns,
+                                                         "nullspace final");
+    }
+  }
+
+ private:
+  const Matrix<Scalar>& stoichiometry_;
+  const SolverOptions& options_;
+  SolveStats& stats_;
+  bool leader_;
+  std::function<void(std::size_t)> charge_;
+  resource::MemoryLease matrix_lease_{resource::Subsystem::kMatrix};
+};
+
+/// One rank's part in a replicated distributed solve (Algorithm 2, paper
+/// §II.D): it generates slice `rank` of `num_ranks` of every iteration's
+/// pair space on `workers` SMP threads.  `exchange` (Communicate&Merge)
+/// swaps the rank's accepted slice for the world's deduplicated set and
+/// returns that set's counts (accepted, cross-rank duplicates_removed);
+/// `slice` is the rank's iteration so far.  `charge` goes to the
+/// IterationFrame.  The default is the serial solver.
+template <typename Scalar, typename Support>
+struct RankPart {
+  using Columns = std::vector<FluxColumn<Scalar, Support>>;
+  int rank = 0;
+  int num_ranks = 1;
+  int workers = 1;
+  std::function<IterationStats(const RowClassification& cls,
+                               const IterationStats& slice,
+                               Columns& candidates, PhaseTimer& phases)>
+      exchange;
+  std::function<void(std::size_t)> charge;
+};
+
+/// Generate, dedup and test one iteration's pair `range`, appending the
+/// accepted candidates; `make_test(worker)` is that worker's staged
+/// elementarity test.  The one place an iteration picks its path: SMP
+/// workers share the range in memory; one worker takes the chunked
+/// out-of-core driver whenever the run is governed (chunks hit disk only
+/// when the live headroom says so — a coarse admit() pre-check could not
+/// predict the candidate transient), else the in-memory driver.
+template <typename Scalar, typename Support, typename MakeTest>
+void generate_pair_range(
+    const SolverOptions& options,
+    const std::vector<FluxColumn<Scalar, Support>>& columns, std::size_t row,
+    const RowClassification& cls, std::size_t rank, PairRange range,
+    const MakeTest& make_test, ThreadPool* pool, IterationStats& iteration,
+    PhaseTimer& phases, std::vector<FluxColumn<Scalar, Support>>& accepted) {
+  if (pool == nullptr) {
+    const bool spill = options.spill.always ||
+                       (options.spill.enabled && !options.ignore_mem_limit &&
+                        resource::MemoryGovernor::global().enabled());
+    if (spill) {
+      iteration.spilled_bytes += process_pair_range_spilled(
+          columns, row, cls, rank, range.begin, range.end,
+          options.block_ref_cap, make_test(0), iteration, phases,
+          accepted, options.spill);
+    } else {
+      process_pair_range(columns, row, cls, rank, range.begin, range.end,
+                         options.block_ref_cap, make_test(0), iteration,
+                         phases, accepted);
+    }
+    return;
+  }
+  // SMP: workers steal adaptive batches off a shared cursor (survivor
+  // density is wildly skewed across the pair space; static per-thread
+  // sub-slices idled every worker but the unluckiest), all probing against
+  // one shared set of per-iteration engine tables.  Thread-local results
+  // are merged and deduped like the cross-rank merge (distinct batches can
+  // still produce the same candidate).
+  const std::size_t workers = pool->size();
+  PairGenTables<Scalar, Support> tables(columns, row, cls.positive,
+                                        cls.negative, cls.zero, rank);
+  std::vector<IterationStats> worker_stats(workers);
+  std::vector<PhaseTimer> worker_phases(workers);
+  std::vector<std::vector<FluxColumn<Scalar, Support>>> worker_accepted(
+      workers);
+  // Batches small enough to balance a skewed tail, large enough that the
+  // per-batch engine setup (a cursor, no tables) stays noise.
+  constexpr std::uint64_t kMinGrain = 4096;
+  parallel_for_dynamic(
+      *pool, range.count(), kMinGrain,
+      [&](int t, std::uint64_t sub_begin, std::uint64_t sub_end) {
+        const auto w = static_cast<std::size_t>(t);
+        process_pair_range(columns, row, cls, rank, range.begin + sub_begin,
+                           range.begin + sub_end, options.block_ref_cap,
+                           make_test(w), worker_stats[w],
+                           worker_phases[w], worker_accepted[w], &tables);
+      });
+  PhaseTimer slowest_worker;  // per-iteration max across workers
+  for (std::size_t w = 0; w < workers; ++w) {
+    iteration.add_counters(worker_stats[w]);
+    slowest_worker.merge_max(worker_phases[w]);
+    accepted.insert(accepted.end(),
+                    std::make_move_iterator(worker_accepted[w].begin()),
+                    std::make_move_iterator(worker_accepted[w].end()));
+  }
+  // Wall-clock: workers run concurrently, so the iteration costs the
+  // slowest worker's time.
+  phases.merge(slowest_worker);
+  ScopedPhase phase(phases, Phase::kMerge);
+  sort_and_dedup(accepted, iteration);
 }
 
+/// The one iteration loop over a replicated matrix: Algorithm 1 as given,
+/// one Algorithm 2 rank with a RankPart.
 template <typename Scalar, typename Support>
-SolveResult<Scalar, Support> solve_nullspace(const EfmProblem<Scalar>& problem,
-                                             const SolverOptions& options = {}) {
+SolveResult<Scalar, Support> solve_nullspace(
+    const EfmProblem<Scalar>& problem, const SolverOptions& options = {},
+    const RankPart<Scalar, Support>& part = {}) {
+  using Columns = std::vector<FluxColumn<Scalar, Support>>;
   SolveResult<Scalar, Support> result;
-  result.stats.keep_history = options.record_history;
+  Columns& columns = result.columns;
+  SolveStats& stats = result.stats;
+  const bool leader = part.rank == 0;
   auto basis = compute_initial_basis<Scalar, Support>(
       problem, options.ordering, options.exclude_rows);
-  result.stats.peak_columns = basis.columns.size();
-  Elementarity<Scalar, Support> oracle(problem.stoichiometry, basis.columns,
-                                       options.test, options.rank_backend);
-  auto is_elementary = [&oracle](const Support& support) {
-    return oracle.is_elementary(support);
+  // One oracle per worker: testers carry scratch buffers and warm caches
+  // and are not shareable across threads.
+  const auto workers = static_cast<std::size_t>(std::max(part.workers, 1));
+  std::vector<Elementarity<Scalar, Support>> oracles;
+  oracles.reserve(workers);
+  for (std::size_t w = 0; w < workers; ++w) {
+    oracles.emplace_back(problem.stoichiometry, basis.columns, options.test,
+                         options.rank_backend);
+  }
+  auto make_test = [&oracles](std::size_t worker) {
+    return [&oracles, worker](const Support& support) {
+      return oracles[worker].is_elementary(support);
+    };
   };
-  result.columns = std::move(basis.columns);
+  std::optional<ThreadPool> pool;
+  if (workers > 1) pool.emplace(workers);
+  columns = std::move(basis.columns);
 
-  // Resource governance: charge the live matrix against the process ledger
-  // so the governor's flush decisions inside the chunked candidate driver
-  // see the true resident floor (the matrix cannot spill; candidates can).
-  auto& governor = resource::MemoryGovernor::global();
-  resource::MemoryLease matrix_lease(resource::Subsystem::kMatrix);
-  matrix_lease.set(matrix_storage_bytes(result.columns));
+  // Each rank's replica is a real allocation here, so --mem-limit sees
+  // Algorithm 2's full replication cost (num_ranks x matrix).
+  IterationFrame<Scalar, Support> frame(problem.stoichiometry, options,
+                                        stats, leader, part.charge);
+  frame.start(columns.size(), matrix_storage_bytes(columns));
 
   for (std::size_t row : basis.processing_order) {
-    resource::throw_if_shutdown_requested("nullspace iteration (row " +
-                                          std::to_string(row) + ")");
-    // Span label is the fixed literal; the row index goes in args.detail
-    // (formatted only when tracing is on).
-    obs::TraceSpan iteration_span(
-        "iteration", "solve",
-        obs::trace() != nullptr ? "row " + std::to_string(row)
-                                : std::string());
+    const obs::TraceSpan span = frame.open(row);
     IterationStats iteration;
     iteration.row = row;
-    auto cls = classify_row(result.columns, row);
+    auto cls = classify_row(columns, row);
     iteration.positives = cls.positive.size();
     iteration.negatives = cls.negative.size();
     const bool row_reversible = problem.reversible[row];
-    oracle.begin_iteration(result.columns, cls, row, row_reversible);
+    // The matrix is replicated, so every worker's oracle stages the same
+    // iteration.
+    for (auto& oracle : oracles)
+      oracle.begin_iteration(columns, cls, row, row_reversible);
 
-    if (!options.ignore_mem_limit)
-      governor.enforce_resident("nullspace iteration (row " +
-                                std::to_string(row) + ")");
-    std::vector<FluxColumn<Scalar, Support>> candidates;
+    // GenerateEFMCands + Sort&RemoveDuplicates + the per-candidate
+    // elementarity test over this rank's contiguous pair slice (the whole
+    // pair space when serial), in bounded-memory blocks.  The test is
+    // per-candidate local — that is what makes Algorithm 2's distribution
+    // work.
+    Columns candidates;
+    // Transient candidate charge, released once the iteration merged.
     resource::MemoryLease candidate_lease(resource::Subsystem::kCandidates);
     try {
-      run_pair_range(options, result.columns, row, cls,
-                     basis.stoichiometry_rank, 0, cls.pair_count(),
-                     is_elementary, iteration, result.stats.phases,
-                     candidates);
-      // Charge the surviving candidates (the spilled path's lease inside
-      // process_pair_range_spilled covers only its in-flight chunk).
-      candidate_lease.set(matrix_storage_bytes(candidates));
+      generate_pair_range(
+          options, columns, row, cls, basis.stoichiometry_rank,
+          pair_slice(cls.pair_count(), part.rank, part.num_ranks), make_test,
+          pool ? &*pool : nullptr, iteration, stats.phases, candidates);
     } catch (const std::bad_alloc&) {
       // Classify allocation failure so the retry ladder can degrade
       // (smaller tiles, spill-always, serial) instead of aborting the run.
+      auto& governor = resource::MemoryGovernor::global();
       throw ResourceError("nullspace iteration (row " + std::to_string(row) +
                               "): allocation failed (std::bad_alloc) with " +
                               std::to_string(governor.usage()) +
                               " B charged",
                           0, governor.limit());
     }
-    oracle.drain(iteration);
-    if (options.test == ElementarityTest::kCombinatorial)
-      cross_candidate_subset_filter(candidates, iteration);
+    for (auto& oracle : oracles) oracle.drain(iteration);
+    candidate_lease.set(matrix_storage_bytes(candidates));
+    frame.audit_accepted(oracles[0].exact(), candidates, row);
 
-    if (options.audit && options.test == ElementarityTest::kRank) {
-      // Re-verify every accepted candidate with the exact Bareiss backend,
-      // independent of the (possibly Monte-Carlo modular) test that
-      // accepted it.
-      check::InvariantAuditor{}.check_rank_nullity(
-          oracle.exact(), candidates,
-          "solve_nullspace row " + std::to_string(row));
+    // Communicate&Merge: the exchange swaps this rank's accepted slice for
+    // the world's deduplicated set.  Without one the set is the solver's
+    // own.
+    IterationStats world;
+    world.accepted = candidates.size();
+    if (part.exchange) {
+      world = part.exchange(cls, iteration, candidates, stats.phases);
+      candidate_lease.set(matrix_storage_bytes(candidates));
     }
-
-    result.columns = merge_next(std::move(result.columns), cls,
-                                row_reversible, std::move(candidates));
-    iteration.columns_after = result.columns.size();
-    const std::size_t matrix_bytes = matrix_storage_bytes(result.columns);
-    matrix_lease.set(matrix_bytes);
-    result.stats.peak_matrix_bytes =
-        std::max(result.stats.peak_matrix_bytes, matrix_bytes);
-    result.stats.absorb(iteration);
-    publish_iteration_metrics(iteration);
-    obs::trace_counter("columns", iteration.columns_after);
-    if (options.audit) {
-      // Columns must stay inside null(S) across every Merge (paper §II.A).
-      check::InvariantAuditor{}.check_nullspace_product(
-          problem.stoichiometry, result.columns,
-          "solve_nullspace after row " + std::to_string(row));
+    if (options.test == ElementarityTest::kCombinatorial) {
+      // The cross-candidate half of the combinatorial test, on the set the
+      // world merges.  Every candidate in it passed its per-column half,
+      // and a candidate containing one that failed it would have failed
+      // too (subset containment is transitive), so under an exchange this
+      // keeps exactly the serial solver's set.
+      ScopedPhase phase(stats.phases, Phase::kRankTest);
+      cross_candidate_subset_filter(candidates, world);
     }
-    if (options.on_iteration) options.on_iteration(iteration);
+    // The world's counts are booked once, on the leader: summing the rank
+    // ledgers (SolveStats::reduce_ranks) and the published metrics then
+    // both land on the world totals.
+    if (leader) {
+      iteration.accepted = world.accepted;
+      iteration.duplicates_removed += world.duplicates_removed;
+    } else {
+      iteration.accepted = 0;
+    }
+    {
+      ScopedPhase phase(stats.phases, Phase::kMerge);
+      columns = merge_next(std::move(columns), cls, row_reversible,
+                           std::move(candidates));
+    }
+    iteration.columns_after = columns.size();
+    frame.close(iteration, columns, matrix_storage_bytes(columns));
   }
-  if (options.audit && options.exclude_rows.empty()) {
-    // Final column set is a support antichain (elementarity).  Skipped for
-    // divide-and-conquer sub-solves: the combined driver audits its merged
-    // final set instead.
-    check::InvariantAuditor{}.check_support_minimality(
-        result.columns, "solve_nullspace final");
-  }
+  frame.finish(columns);
   return result;
 }
 

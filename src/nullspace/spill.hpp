@@ -107,20 +107,16 @@ std::uint64_t process_pair_range_spilled(
     std::uint64_t end, std::size_t ref_cap, const TestFn& is_elementary,
     IterationStats& stats, PhaseTimer& phases,
     std::vector<FluxColumn<Scalar, Support>>& accepted_out,
-    const SpillPolicy& policy,
-    const PairGenTables<Scalar, Support>* shared_tables = nullptr) {
+    const SpillPolicy& policy) {
   if (cls.positive.empty() || cls.negative.empty() || begin >= end) {
     stats.pairs_probed += (begin < end) ? end - begin : 0;
     return 0;
   }
-  std::optional<PairGenTables<Scalar, Support>> local_tables;
-  if (shared_tables == nullptr) {
+  const auto tables = [&] {
     ScopedPhase phase(phases, Phase::kGenCand);
-    local_tables.emplace(columns, row, cls.positive, cls.negative, cls.zero,
-                         rank);
-  }
-  const PairGenTables<Scalar, Support>& tables =
-      shared_tables != nullptr ? *shared_tables : *local_tables;
+    return PairGenTables<Scalar, Support>(columns, row, cls.positive,
+                                          cls.negative, cls.zero, rank);
+  }();
 
   resource::SpillFile spill(policy.directory);
   resource::MemoryLease candidate_lease(resource::Subsystem::kCandidates);

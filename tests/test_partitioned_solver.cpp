@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "check/check.hpp"
 #include "compress/compression.hpp"
 #include "core/combinatorial_parallel.hpp"
 #include "efm_test_util.hpp"
@@ -13,6 +14,7 @@
 #include "models/toy.hpp"
 #include "models/yeast.hpp"
 #include "nullspace/efm.hpp"
+#include "resource/shutdown.hpp"
 
 namespace elmo {
 namespace {
@@ -31,7 +33,7 @@ TEST(PartitionedSolver, ToyAgreesWithSerialAcrossRankCounts) {
   auto serial = canonical(
       solve_efms<CheckedI64, Bitset64>(problem).columns, compressed, net);
   for (int ranks : {1, 2, 3, 5, 8}) {
-    PartitionedOptions options;
+    ParallelOptions options;
     options.num_ranks = ranks;
     auto result =
         solve_partitioned_parallel<CheckedI64, Bitset64>(problem, options);
@@ -48,7 +50,7 @@ TEST(PartitionedSolver, PairCountMatchesSerial) {
   auto compressed = compress(net);
   auto problem = to_problem<CheckedI64>(compressed);
   auto serial = solve_efms<CheckedI64, Bitset64>(problem);
-  PartitionedOptions options;
+  ParallelOptions options;
   options.num_ranks = 3;
   auto result =
       solve_partitioned_parallel<CheckedI64, Bitset64>(problem, options);
@@ -77,7 +79,7 @@ TEST(PartitionedSolver, RandomNetworksAgreeWithSerial) {
         net);
     for (auto backend : {RankTestBackend::kSparse, RankTestBackend::kModular,
                          RankTestBackend::kExact}) {
-      PartitionedOptions options;
+      ParallelOptions options;
       options.num_ranks = 3;
       options.solver.rank_backend = backend;
       auto result =
@@ -108,7 +110,7 @@ TEST(PartitionedSolver, ShardsStayBalanced) {
   auto replicated = solve_combinatorial_parallel<CheckedI64, Bitset64>(
       problem, replicated_options);
 
-  PartitionedOptions options;
+  ParallelOptions options;
   options.num_ranks = 4;
   auto partitioned =
       solve_partitioned_parallel<CheckedI64, Bitset64>(problem, options);
@@ -119,7 +121,7 @@ TEST(PartitionedSolver, ShardsStayBalanced) {
       << "workload too small for a meaningful memory comparison";
   // The shard + replicated-positives peak must be well below the full
   // replica (4 ranks -> expect roughly a 2x+ reduction here).
-  EXPECT_LT(partitioned.peak_rank_bytes,
+  EXPECT_LT(partitioned.ranks.max_memory_peak(),
             replicated.stats.peak_matrix_bytes * 3 / 4);
 }
 
@@ -136,7 +138,7 @@ TEST(PartitionedSolver, YeastDemoAgreesWithReplicated) {
   auto problem = to_problem<CheckedI64>(compressed);
 
   auto serial = solve_efms<CheckedI64, DynBitset>(problem);
-  PartitionedOptions options;
+  ParallelOptions options;
   options.num_ranks = 3;
   auto result =
       solve_partitioned_parallel<CheckedI64, DynBitset>(problem, options);
@@ -148,7 +150,7 @@ TEST(PartitionedSolver, MemoryBudgetStillEnforced) {
   Network net = models::toy_network();
   auto compressed = compress(net);
   auto problem = to_problem<CheckedI64>(compressed);
-  PartitionedOptions options;
+  ParallelOptions options;
   options.num_ranks = 2;
   options.memory_budget_per_rank = 16;  // absurdly small
   EXPECT_THROW((solve_partitioned_parallel<CheckedI64, Bitset64>(problem,
@@ -159,11 +161,71 @@ TEST(PartitionedSolver, MemoryBudgetStillEnforced) {
 TEST(PartitionedSolver, CombinatorialTestRejected) {
   Network net = models::toy_network();
   auto problem = to_problem<CheckedI64>(compress(net));
-  PartitionedOptions options;
+  ParallelOptions options;
   options.solver.test = ElementarityTest::kCombinatorial;
   EXPECT_THROW((solve_partitioned_parallel<CheckedI64, Bitset64>(problem,
                                                                  options)),
                InvalidArgumentError);
+  // Algorithm 4 has no SMP worker path: asking for one is an error, not a
+  // silently single-threaded run.
+  ParallelOptions smp;
+  smp.threads_per_rank = 2;
+  EXPECT_THROW((solve_partitioned_parallel<CheckedI64, Bitset64>(problem,
+                                                                 smp)),
+               InvalidArgumentError);
+}
+
+// Algorithm 4 opens and closes every iteration through the serial solver's
+// IterationFrame, so it audits, records history and honours shutdown like
+// every other driver.
+TEST(PartitionedSolver, AuditsEveryInvariantClass) {
+  auto problem = to_problem<CheckedI64>(compress(models::toy_network()));
+  check::AuditLedger::global().reset();
+  ParallelOptions options;
+  options.num_ranks = 2;
+  options.solver.audit = true;
+  auto result =
+      solve_partitioned_parallel<CheckedI64, Bitset64>(problem, options);
+  const auto audit = check::AuditLedger::global().snapshot();
+  EXPECT_GT(audit.nullspace_products, 0u);
+  EXPECT_GT(audit.rank_nullity_checks, 0u);
+  EXPECT_GT(audit.minimality_checks, 0u);
+  EXPECT_EQ(audit.failures, 0u);
+  EXPECT_FALSE(result.columns.empty());
+}
+
+TEST(PartitionedSolver, RecordsOneHistoryRowPerIteration) {
+  auto problem = to_problem<CheckedI64>(compress(models::toy_network()));
+  ParallelOptions options;
+  options.num_ranks = 2;
+  options.solver.record_history = true;
+  auto result =
+      solve_partitioned_parallel<CheckedI64, Bitset64>(problem, options);
+  ASSERT_GT(result.stats.iterations, 0u);
+  EXPECT_EQ(result.stats.history.size(), result.stats.iterations);
+  // Rows follow the serial processing order and carry the global matrix
+  // width, not rank 0's shard.
+  SolverOptions serial_options;
+  serial_options.record_history = true;
+  auto serial = solve_efms<CheckedI64, Bitset64>(problem, serial_options);
+  ASSERT_EQ(result.stats.history.size(), serial.stats.history.size());
+  for (std::size_t k = 0; k < serial.stats.history.size(); ++k)
+    EXPECT_EQ(result.stats.history[k].row, serial.stats.history[k].row);
+  EXPECT_GE(result.stats.history.back().columns_after, result.columns.size());
+}
+
+TEST(PartitionedSolver, ShutdownRequestCancels) {
+  auto problem = to_problem<CheckedI64>(compress(models::toy_network()));
+  ParallelOptions options;
+  options.num_ranks = 2;
+  resource::reset_shutdown();
+  resource::request_shutdown();
+  EXPECT_THROW((solve_partitioned_parallel<CheckedI64, Bitset64>(problem,
+                                                                 options)),
+               CancelledError);
+  resource::reset_shutdown();
+  EXPECT_NO_THROW((solve_partitioned_parallel<CheckedI64, Bitset64>(
+      problem, options)));
 }
 
 }  // namespace
