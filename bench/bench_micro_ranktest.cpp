@@ -1,9 +1,8 @@
 // Microbenchmark: elementarity-test backends on realistic yeast supports.
 //
-// Compares the exact Bareiss rank test (paper's reference), the modular
-// Z_(2^61-1) test (this library's default), and the combinatorial
-// support-subset test at several column counts — the data behind the
-// choice of default backend.
+// Compares the exact Bareiss rank test (paper's reference) with the dense
+// modular Z_(2^61-1) test (the sparse default's fallback target) per
+// candidate support.
 #include <benchmark/benchmark.h>
 
 #include "bitset/dynbitset.hpp"
@@ -69,34 +68,6 @@ void BM_RankTestModular(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RankTestModular);
-
-void BM_CombinatorialSubsetTest(benchmark::State& state) {
-  auto& f = fixture();
-  // Snapshot of `columns` current matrices at various widths.
-  const std::size_t width = static_cast<std::size_t>(state.range(0));
-  std::vector<DynBitset> columns;
-  Rng rng(7);
-  const std::size_t q = f.prepared.problem.num_reactions();
-  for (std::size_t c = 0; c < width; ++c) {
-    DynBitset s(q);
-    std::size_t size = 8 + rng.below(20);
-    while (s.count() < size) s.set(rng.below(q));
-    columns.push_back(std::move(s));
-  }
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const auto& candidate = f.supports[i++ % f.supports.size()];
-    bool elementary = true;
-    for (const auto& support : columns) {
-      if (support != candidate && support.is_subset_of(candidate)) {
-        elementary = false;
-        break;
-      }
-    }
-    benchmark::DoNotOptimize(elementary);
-  }
-}
-BENCHMARK(BM_CombinatorialSubsetTest)->Arg(1000)->Arg(10000)->Arg(100000);
 
 }  // namespace
 

@@ -84,7 +84,6 @@ EfmResult run_with(const CompressedProblem& compressed,
 
   SolverOptions solver;
   solver.ordering = options.ordering;
-  solver.test = options.test;
   solver.rank_backend = options.rank_backend;
   solver.on_iteration = options.on_iteration;
   solver.record_history = options.record_history;
@@ -295,9 +294,6 @@ obs::SolveReport make_solve_report(const EfmResult& result,
   report.network = network_label;
   report.algorithm = algorithm_name(options.algorithm);
   report.num_ranks = options.num_ranks;
-  report.config["test"] = options.test == ElementarityTest::kRank
-                              ? "rank"
-                              : "combinatorial";
   report.config["rank_backend"] =
       options.rank_backend == RankTestBackend::kSparse    ? "sparse"
       : options.rank_backend == RankTestBackend::kModular ? "modular"

@@ -53,7 +53,6 @@ struct EfmOptions {
 
   CompressionOptions compression;
   OrderingOptions ordering;
-  ElementarityTest test = ElementarityTest::kRank;
   RankTestBackend rank_backend = RankTestBackend::kSparse;
 
   /// Simulated compute ranks (Algorithms 2, 3 and 4).

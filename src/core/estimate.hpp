@@ -61,8 +61,7 @@ SubsetEstimate estimate_subset(const EfmProblem<Scalar>& problem,
   // The exact backend keeps the estimates independent of Monte-Carlo
   // verdicts.
   Elementarity<Scalar, Support> oracle(prepared.problem.stoichiometry,
-                                       basis.columns, ElementarityTest::kRank,
-                                       RankTestBackend::kExact);
+                                       basis.columns, RankTestBackend::kExact);
   auto is_elementary = [&oracle](const Support& support) {
     return oracle.is_elementary(support);
   };
@@ -85,16 +84,15 @@ SubsetEstimate estimate_subset(const EfmProblem<Scalar>& problem,
     }
     IterationStats iteration;
     auto cls = classify_row(columns, row);
-    const bool row_reversible = prepared.problem.reversible[row];
-    oracle.begin_iteration(columns, cls, row, row_reversible);
+    oracle.begin_iteration(columns, cls, row);
     std::vector<FluxColumn<Scalar, Support>> accepted;
     process_pair_range(columns, row, cls, basis.stoichiometry_rank, 0,
                        cls.pair_count(), std::size_t{1} << 20, is_elementary,
                        iteration, phases, accepted);
     pairs_so_far += iteration.pairs_probed;
     pair_history.push_back(static_cast<double>(iteration.pairs_probed));
-    columns = merge_next(std::move(columns), cls, row_reversible,
-                         std::move(accepted));
+    columns = merge_next(std::move(columns), cls,
+                         prepared.problem.reversible[row], std::move(accepted));
     column_history.push_back(static_cast<double>(columns.size()));
     ++iterations_done;
   }

@@ -70,8 +70,6 @@ ParallelSolveResult<Scalar, Support> solve_partitioned_parallel(
   const int num_ranks = options.num_ranks;
   ELMO_REQUIRE(options.threads_per_rank <= 1,
                "the partitioned algorithm runs one worker per rank");
-  ELMO_REQUIRE(options.solver.test == ElementarityTest::kRank,
-               "the partitioned algorithm requires the (local) rank test");
 
   auto rank_solve = [&](mpsim::Communicator& comm,
                         const EfmProblem<Scalar>& prepared,
@@ -81,9 +79,8 @@ ParallelSolveResult<Scalar, Support> solve_partitioned_parallel(
     SolveStats& stats = result.stats;
     auto basis = compute_initial_basis<Scalar, Support>(
         prepared, solver_options.ordering, solver_options.exclude_rows);
-    Elementarity<Scalar, Support> oracle(
-        prepared.stoichiometry, basis.columns, solver_options.test,
-        solver_options.rank_backend);
+    Elementarity<Scalar, Support> oracle(prepared.stoichiometry, basis.columns,
+                                         solver_options.rank_backend);
     auto is_elementary = [&oracle](const Support& support) {
       return oracle.is_elementary(support);
     };
@@ -103,7 +100,6 @@ ParallelSolveResult<Scalar, Support> solve_partitioned_parallel(
       const obs::TraceSpan span = frame.open(row);
       IterationStats iteration;
       iteration.row = row;
-      const bool row_reversible = prepared.reversible[row];
 
       // 1. Local classification.
       auto cls = classify_row(shard, row);
@@ -141,7 +137,7 @@ ParallelSolveResult<Scalar, Support> solve_partitioned_parallel(
 
       // Every candidate support lives inside supp(u) u supp(v) \ {row}
       // for some pairing pair, so the pairing set stages the iteration.
-      oracle.begin_iteration(pairing, pairing_cls, row, row_reversible);
+      oracle.begin_iteration(pairing, pairing_cls, row);
       std::vector<Column> accepted;
       process_pair_range(pairing, row, pairing_cls,
                          basis.stoichiometry_rank, 0,
@@ -191,7 +187,7 @@ ParallelSolveResult<Scalar, Support> solve_partitioned_parallel(
 
       // 5. Rebuild the local shard: zero + positive + (negative if
       // reversible) + locally accepted candidates.
-      shard = merge_next(std::move(shard), cls, row_reversible,
+      shard = merge_next(std::move(shard), cls, prepared.reversible[row],
                          std::move(accepted));
 
       // 6. Rebalance: even out shard sizes (heaviest ranks ship columns to

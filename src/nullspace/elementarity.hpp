@@ -5,11 +5,12 @@
 // Algorithm 4 on each rank's shard pairing, and the subset estimator on a
 // prefix run.  Elementarity is that one step: built once per solve (or per
 // SMP worker) from the stoichiometry and the initial basis, staged once per
-// iteration, then asked one candidate at a time.  It is the one place that
-// picks a tester for an (ElementarityTest, RankTestBackend) pair.
+// iteration, then asked one candidate at a time.  The test is the paper's
+// algebraic rank test (nullity of the support submatrix == 1); Elementarity
+// is the one place that picks its arithmetic backend (RankTestBackend).
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <optional>
 #include <vector>
 
@@ -23,13 +24,7 @@
 
 namespace elmo {
 
-/// Which elementarity test the solver applies to candidates.
-enum class ElementarityTest {
-  kRank,           // algebraic rank (nullity == 1) test — the paper's choice
-  kCombinatorial,  // support-subset test — the classical alternative
-};
-
-/// Arithmetic backend for the rank test (when ElementarityTest::kRank).
+/// Arithmetic backend for the rank test.
 /// The backends form a ladder: sparse-modular (default) falls back to the
 /// dense-modular elimination per candidate when its cost model says so;
 /// both share the Z_p decision procedure whose rejects are Monte-Carlo;
@@ -59,9 +54,8 @@ class Elementarity {
   /// basis (the modular backends' K-side formulation is built from it).
   Elementarity(const Matrix<Scalar>& stoichiometry,
                const std::vector<FluxColumn<Scalar, Support>>& basis,
-               ElementarityTest test, RankTestBackend backend)
-      : test_(test), exact_(stoichiometry) {
-    if (test_ != ElementarityTest::kRank) return;
+               RankTestBackend backend)
+      : exact_(stoichiometry) {
     if (backend == RankTestBackend::kSparse) {
       sparse_.emplace(stoichiometry, basis);
     } else if (backend == RankTestBackend::kModular) {
@@ -71,39 +65,17 @@ class Elementarity {
 
   /// Stage the iteration processing `row` over `columns` classified as
   /// `cls`: the sparse engine eliminates the iteration's shared K-side
-  /// block once; the combinatorial test snapshots the supports of the
-  /// columns that survive into the next matrix (zero, positive, and
-  /// negative if the row is reversible).  `columns` must stay unchanged
-  /// until the iteration's last is_elementary call.
+  /// block once (the other backends keep no per-iteration state).
   void begin_iteration(const std::vector<FluxColumn<Scalar, Support>>& columns,
-                       const RowClassification& cls, std::size_t row,
-                       bool row_reversible) {
+                       const RowClassification& cls, std::size_t row) {
     if (sparse_) {
       sparse_->begin_iteration(iteration_common_zero_rows(
           columns, cls.positive, cls.negative, row));
     }
-    if (test_ != ElementarityTest::kCombinatorial) return;
-    survivors_.clear();
-    for (std::uint32_t j : cls.zero) survivors_.push_back(&columns[j].support);
-    for (std::uint32_t j : cls.positive)
-      survivors_.push_back(&columns[j].support);
-    if (row_reversible) {
-      for (std::uint32_t j : cls.negative)
-        survivors_.push_back(&columns[j].support);
-    }
   }
 
-  /// Test one candidate.  For the combinatorial test this is the
-  /// per-column half (no surviving column's support strictly inside the
-  /// candidate's); the cross-candidate half is
-  /// cross_candidate_subset_filter over the iteration's accepted set.
+  /// Test one candidate: is the nullity of its support submatrix 1?
   bool is_elementary(const Support& support) {
-    if (test_ == ElementarityTest::kCombinatorial) {
-      for (const Support* other : survivors_) {
-        if (*other != support && other->is_subset_of(support)) return false;
-      }
-      return true;
-    }
     if (sparse_) return sparse_->is_elementary(support);
     if (modular_) return modular_->is_elementary(support);
     return exact_.is_elementary(support);
@@ -119,11 +91,9 @@ class Elementarity {
   RankTester<Scalar>& exact() { return exact_; }
 
  private:
-  ElementarityTest test_;
   RankTester<Scalar> exact_;
   std::optional<ModularRankTester<Scalar>> modular_;
   std::optional<SparseRankTester<Scalar>> sparse_;
-  std::vector<const Support*> survivors_;
 };
 
 }  // namespace elmo

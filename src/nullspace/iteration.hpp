@@ -14,8 +14,6 @@
 //                         the per-candidate elementarity test and
 //                         materialise the accepted ones
 //   sort_and_dedup      - the paper's Sort&RemoveDuplicates (by support)
-//   cross_candidate_subset_filter
-//                       - the combinatorial test's cross-candidate half
 //   merge_next          - RemoveNegColumns + concatenate survivors
 //
 // The cardinality pre-test inside candidate generation is the hot loop: an
@@ -445,64 +443,6 @@ void process_pair_range(
   }
   stats.accepted +=
       static_cast<std::uint64_t>(accepted_out.size() - initial_accepted);
-}
-
-/// Remove accepted candidates whose support strictly contains another
-/// accepted candidate's support — the cross-candidate half of the
-/// combinatorial elementarity test, applied once per iteration after all
-/// blocks (the per-column half runs inside the per-candidate TestFn).
-template <typename Scalar, typename Support>
-void cross_candidate_subset_filter(
-    std::vector<FluxColumn<Scalar, Support>>& accepted,
-    IterationStats& stats) {
-  const std::size_t n = accepted.size();
-  if (n < 2) return;
-
-  // A strict subset has strictly smaller popcount, so candidate c only
-  // needs testing against the popcount band BELOW its own: walk candidates
-  // in popcount order and stop each scan at the first equal-or-larger
-  // popcount (candidates with equal supports were already deduped, and
-  // equal popcounts cannot strictly contain each other).  Worst case is
-  // still quadratic but the common band structure makes it near-linear,
-  // versus the unconditional O(n^2) subset scan this replaces.
-  std::vector<std::uint32_t> pop(n);
-  std::vector<std::uint32_t> order(n);
-  for (std::size_t c = 0; c < n; ++c) {
-    pop[c] = static_cast<std::uint32_t>(accepted[c].support.count());
-    order[c] = static_cast<std::uint32_t>(c);
-  }
-  std::sort(order.begin(), order.end(),
-            [&pop](std::uint32_t a, std::uint32_t b) {
-              if (pop[a] != pop[b]) return pop[a] < pop[b];
-              return a < b;
-            });
-
-  std::vector<char> dead(n, 0);
-  for (std::size_t oc = 0; oc < n; ++oc) {
-    const std::uint32_t c = order[oc];
-    for (std::size_t od = 0; od < oc; ++od) {
-      const std::uint32_t d = order[od];
-      if (pop[d] >= pop[c]) break;  // band cut-off
-      // Subset status is judged against the FULL accepted set (a removed
-      // candidate still disqualifies its supersets), matching the
-      // reference all-pairs scan.
-      if (accepted[d].support.is_subset_of(accepted[c].support)) {
-        dead[c] = 1;
-        break;
-      }
-    }
-  }
-
-  std::size_t kept = 0;
-  for (std::size_t c = 0; c < n; ++c) {
-    if (dead[c]) {
-      --stats.accepted;
-      continue;
-    }
-    if (kept != c) accepted[kept] = std::move(accepted[c]);
-    ++kept;
-  }
-  accepted.resize(kept);
 }
 
 /// Build the next iteration's matrix: zero columns + positive columns +

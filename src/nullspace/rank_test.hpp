@@ -6,9 +6,8 @@
 // (the paper's method; LU/QR/SVD in the original, Bareiss here because
 // arithmetic is exact).  With the CheckedI64 kernel an overflow falls back
 // to BigInt per candidate.  The modular testers (modular_rank.hpp,
-// sparse_rank.hpp) are differentially tested against it, and the
-// combinatorial support-subset alternative lives in the Elementarity
-// oracle (elementarity.hpp).
+// sparse_rank.hpp) are differentially tested against it; the Elementarity
+// oracle (elementarity.hpp) picks one of the three per solve.
 #pragma once
 
 #include <vector>

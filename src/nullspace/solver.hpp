@@ -10,6 +10,9 @@
 // runs Algorithm 2 per subset with an exclusion set and the Proposition-1
 // filter.  Algorithm 4 (core/partitioned_parallel.hpp) moves its own data
 // but opens and closes every iteration through the same IterationFrame.
+// Every driver decides elementarity with the paper's rank test, staged per
+// iteration by one Elementarity oracle (nullspace/elementarity.hpp);
+// SolverOptions::rank_backend picks only its arithmetic.
 #pragma once
 
 #include <functional>
@@ -37,7 +40,6 @@ namespace elmo {
 
 struct SolverOptions {
   OrderingOptions ordering;
-  ElementarityTest test = ElementarityTest::kRank;
   RankTestBackend rank_backend = RankTestBackend::kSparse;
   /// Candidate refs held in memory at once (bounded-memory blocking of the
   /// candidate stream); the default caps transient usage around 100 MB.
@@ -127,7 +129,7 @@ class IterationFrame {
   /// modular) test that accepted them.
   void audit_accepted(RankTester<Scalar>& exact, const Columns& accepted,
                       std::size_t row) const {
-    if (!options_.audit || options_.test != ElementarityTest::kRank) return;
+    if (!options_.audit) return;
     check::InvariantAuditor{}.check_rank_nullity(
         exact, accepted, "nullspace row " + std::to_string(row));
   }
@@ -283,7 +285,7 @@ SolveResult<Scalar, Support> solve_nullspace(
   std::vector<Elementarity<Scalar, Support>> oracles;
   oracles.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w) {
-    oracles.emplace_back(problem.stoichiometry, basis.columns, options.test,
+    oracles.emplace_back(problem.stoichiometry, basis.columns,
                          options.rank_backend);
   }
   auto make_test = [&oracles](std::size_t worker) {
@@ -308,11 +310,9 @@ SolveResult<Scalar, Support> solve_nullspace(
     auto cls = classify_row(columns, row);
     iteration.positives = cls.positive.size();
     iteration.negatives = cls.negative.size();
-    const bool row_reversible = problem.reversible[row];
     // The matrix is replicated, so every worker's oracle stages the same
     // iteration.
-    for (auto& oracle : oracles)
-      oracle.begin_iteration(columns, cls, row, row_reversible);
+    for (auto& oracle : oracles) oracle.begin_iteration(columns, cls, row);
 
     // GenerateEFMCands + Sort&RemoveDuplicates + the per-candidate
     // elementarity test over this rank's contiguous pair slice (the whole
@@ -350,15 +350,6 @@ SolveResult<Scalar, Support> solve_nullspace(
       world = part.exchange(cls, iteration, candidates, stats.phases);
       candidate_lease.set(matrix_storage_bytes(candidates));
     }
-    if (options.test == ElementarityTest::kCombinatorial) {
-      // The cross-candidate half of the combinatorial test, on the set the
-      // world merges.  Every candidate in it passed its per-column half,
-      // and a candidate containing one that failed it would have failed
-      // too (subset containment is transitive), so under an exchange this
-      // keeps exactly the serial solver's set.
-      ScopedPhase phase(stats.phases, Phase::kRankTest);
-      cross_candidate_subset_filter(candidates, world);
-    }
     // The world's counts are booked once, on the leader: summing the rank
     // ledgers (SolveStats::reduce_ranks) and the published metrics then
     // both land on the world totals.
@@ -370,7 +361,7 @@ SolveResult<Scalar, Support> solve_nullspace(
     }
     {
       ScopedPhase phase(stats.phases, Phase::kMerge);
-      columns = merge_next(std::move(columns), cls, row_reversible,
+      columns = merge_next(std::move(columns), cls, problem.reversible[row],
                            std::move(candidates));
     }
     iteration.columns_after = columns.size();

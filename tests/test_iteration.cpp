@@ -182,15 +182,5 @@ TEST(MergeNext, KeepsNegativesOnlyForReversibleRows) {
   }
 }
 
-TEST(CrossCandidateFilter, RemovesSupersets) {
-  std::vector<Col> accepted = {col({1, 1, 0, 0}), col({1, 1, 1, 0})};
-  IterationStats stats;
-  stats.accepted = 2;
-  cross_candidate_subset_filter(accepted, stats);
-  ASSERT_EQ(accepted.size(), 1u);
-  EXPECT_EQ(accepted[0].support.count(), 2u);
-  EXPECT_EQ(stats.accepted, 1u);
-}
-
 }  // namespace
 }  // namespace elmo

@@ -311,56 +311,5 @@ TEST(ProcessPairRange, SharedTablesMatchLocalTables) {
   EXPECT_EQ(shared_stats.pairs_probed, cls.pair_count());
 }
 
-TEST(CrossCandidateFilter, MatchesBruteForceOnRandomAntichains) {
-  // The banded filter must keep exactly what the all-pairs reference scan
-  // keeps, including when removed candidates disqualify their supersets.
-  for (std::uint64_t seed : {9u, 27u, 63u}) {
-    Rng rng(seed);
-    std::vector<FluxColumn<CheckedI64, Bitset64>> accepted;
-    for (int c = 0; c < 60; ++c) {
-      std::vector<CheckedI64> values(24, CheckedI64(0));
-      for (std::size_t k = 0; k < 2 + rng.below(6); ++k)
-        values[rng.below(24)] =
-            CheckedI64(1 + static_cast<std::int64_t>(rng.below(3)));
-      auto column =
-          FluxColumn<CheckedI64, Bitset64>::from_values(std::move(values));
-      // Distinct supports only (the caller dedups before filtering).
-      bool duplicate = false;
-      for (const auto& other : accepted)
-        duplicate = duplicate || other.support == column.support;
-      if (!duplicate) accepted.push_back(std::move(column));
-    }
-
-    auto brute = accepted;
-    IterationStats brute_stats;
-    brute_stats.accepted = brute.size();
-    {
-      std::size_t kept = 0;
-      for (std::size_t c = 0; c < brute.size(); ++c) {
-        bool elementary = true;
-        for (std::size_t d = 0; d < brute.size() && elementary; ++d) {
-          if (d == c) continue;
-          if (brute[d].support != brute[c].support &&
-              brute[d].support.is_subset_of(brute[c].support))
-            elementary = false;
-        }
-        if (!elementary) {
-          --brute_stats.accepted;
-          continue;
-        }
-        if (kept != c) brute[kept] = std::move(brute[c]);
-        ++kept;
-      }
-      brute.resize(kept);
-    }
-
-    IterationStats stats;
-    stats.accepted = accepted.size();
-    cross_candidate_subset_filter(accepted, stats);
-    EXPECT_EQ(accepted, brute);
-    EXPECT_EQ(stats.accepted, brute_stats.accepted);
-  }
-}
-
 }  // namespace
 }  // namespace elmo

@@ -127,20 +127,5 @@ TEST(ParallelSolver, MemoryBudgetAbortsLikeNetworkII) {
                MemoryBudgetError);
 }
 
-TEST(ParallelSolver, CombinatorialTestWorksInParallelToo) {
-  Network net = models::toy_network();
-  auto compressed = compress(net);
-  auto problem = to_problem<CheckedI64>(compressed);
-  ParallelOptions options;
-  options.num_ranks = 3;
-  options.solver.test = ElementarityTest::kCombinatorial;
-  auto parallel =
-      solve_combinatorial_parallel<CheckedI64, Bitset64>(problem, options);
-  auto serial = expand_and_canonicalize(
-      solve_efms<CheckedI64, Bitset64>(problem).columns, compressed, net);
-  EXPECT_EQ(expand_and_canonicalize(parallel.columns, compressed, net),
-            serial);
-}
-
 }  // namespace
 }  // namespace elmo

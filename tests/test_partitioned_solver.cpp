@@ -158,16 +158,10 @@ TEST(PartitionedSolver, MemoryBudgetStillEnforced) {
                MemoryBudgetError);
 }
 
-TEST(PartitionedSolver, CombinatorialTestRejected) {
-  Network net = models::toy_network();
-  auto problem = to_problem<CheckedI64>(compress(net));
-  ParallelOptions options;
-  options.solver.test = ElementarityTest::kCombinatorial;
-  EXPECT_THROW((solve_partitioned_parallel<CheckedI64, Bitset64>(problem,
-                                                                 options)),
-               InvalidArgumentError);
+TEST(PartitionedSolver, SmpWorkersRejected) {
   // Algorithm 4 has no SMP worker path: asking for one is an error, not a
   // silently single-threaded run.
+  auto problem = to_problem<CheckedI64>(compress(models::toy_network()));
   ParallelOptions smp;
   smp.threads_per_rank = 2;
   EXPECT_THROW((solve_partitioned_parallel<CheckedI64, Bitset64>(problem,

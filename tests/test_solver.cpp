@@ -137,18 +137,6 @@ TEST(Solver, ToyAgreesWithDynBitsetSupports) {
             expand_and_canonicalize(dyn.columns, compressed, net));
 }
 
-TEST(Solver, CombinatorialTestAgreesWithRankTestOnToy) {
-  Network net = models::toy_network();
-  auto compressed = compress(net);
-  auto problem = to_problem<CheckedI64>(compressed);
-  SolverOptions comb;
-  comb.test = ElementarityTest::kCombinatorial;
-  auto a = solve_efms<CheckedI64, Bitset64>(problem);
-  auto b = solve_efms<CheckedI64, Bitset64>(problem, comb);
-  EXPECT_EQ(expand_and_canonicalize(a.columns, compressed, net),
-            expand_and_canonicalize(b.columns, compressed, net));
-}
-
 TEST(Solver, OrderingHeuristicsDoNotChangeTheResult) {
   Network net = models::toy_network();
   auto compressed = compress(net);
@@ -200,21 +188,6 @@ TEST_P(SolverRandomTest, EfmInvariantsHold) {
   auto result = solve_efms<CheckedI64, Bitset64>(problem);
   auto modes = expand_and_canonicalize(result.columns, compressed, net);
   check_efm_invariants(net, modes);
-}
-
-TEST_P(SolverRandomTest, CombinatorialAgreesWithRank) {
-  models::RandomNetworkSpec spec;
-  spec.seed = GetParam() * 31 + 7;
-  spec.num_metabolites = 4 + GetParam() % 3;
-  Network net = models::random_network(spec);
-  auto compressed = compress(net);
-  auto problem = to_problem<CheckedI64>(compressed);
-  SolverOptions comb;
-  comb.test = ElementarityTest::kCombinatorial;
-  auto a = solve_efms<CheckedI64, Bitset64>(problem);
-  auto b = solve_efms<CheckedI64, Bitset64>(problem, comb);
-  EXPECT_EQ(expand_and_canonicalize(a.columns, compressed, net),
-            expand_and_canonicalize(b.columns, compressed, net));
 }
 
 TEST_P(SolverRandomTest, CompressedAndUncompressedAgree) {
