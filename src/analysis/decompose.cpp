@@ -9,28 +9,23 @@ namespace elmo {
 
 namespace {
 
-/// Is `mode` (optionally negated) usable against residual `r`?
-/// Requires supp(mode) ⊆ supp(r) with matching signs; returns the exact
-/// maximal step alpha > 0 (the ratio at which the first residual entry
-/// reaches zero), or zero if incompatible.
+/// The exact maximal step alpha > 0 along `mode` (optionally negated):
+/// the ratio at which the first residual entry reaches zero.  The
+/// orientation must be sign-compatible with `r` (compatible_orientations).
 BigRational max_step(const std::vector<BigRational>& r,
                      const std::vector<BigInt>& mode, bool negate) {
-  BigRational alpha;  // 0 = incompatible
+  BigRational alpha;
   bool first = true;
   for (std::size_t j = 0; j < mode.size(); ++j) {
     if (mode[j].is_zero()) continue;
-    BigInt e = negate ? -mode[j] : mode[j];
-    const int es = e.sign();
-    const int rs = r[j].sign();
-    if (rs == 0 || rs != es) return BigRational();  // sign clash / overshoot
     // ratio = r_j / e_j  (> 0 since signs match).
-    BigRational ratio = r[j] / BigRational(e);
+    BigRational ratio = r[j] / BigRational(negate ? -mode[j] : mode[j]);
     if (first || ratio < alpha) {
-      alpha = ratio;
+      alpha = std::move(ratio);
       first = false;
     }
   }
-  return first ? BigRational() : alpha;
+  return alpha;
 }
 
 /// L1 mass the step removes: alpha * sum|e| (used to rank greedy picks).
@@ -41,11 +36,31 @@ double removed_mass(const BigRational& alpha,
   return alpha.to_double() * l1;
 }
 
-bool fully_reversible(const std::vector<BigInt>& mode,
-                      const std::vector<bool>& reversible) {
-  for (std::size_t j = 0; j < mode.size(); ++j)
-    if (!mode[j].is_zero() && !reversible[j]) return false;
-  return true;
+struct Orientations {
+  bool plain = false;
+  bool negated = false;
+};
+
+/// Which orientations of `mode` are sign-compatible with the residual
+/// whose entry signs are `residual_sign`: supp(mode) ⊆ supp(r) with
+/// matching signs, and negation only if every support reaction is
+/// reversible.  One sign() per entry, stopping at the first clash; only
+/// the orientations this keeps reach max_step's rational arithmetic.
+Orientations compatible_orientations(const std::vector<int>& residual_sign,
+                                     const std::vector<BigInt>& mode,
+                                     const std::vector<bool>& reversible) {
+  bool plain = true;
+  bool negated = true;
+  bool any = false;  // an all-zero mode removes nothing
+  for (std::size_t j = 0; j < mode.size(); ++j) {
+    const int es = mode[j].sign();
+    if (es == 0) continue;
+    any = true;
+    plain = plain && residual_sign[j] == es;
+    negated = negated && reversible[j] && residual_sign[j] == -es;
+    if (!plain && !negated) return {};
+  }
+  return {any && plain, any && negated};
 }
 
 }  // namespace
@@ -71,10 +86,14 @@ Decomposition decompose_flux(const std::vector<BigRational>& flux,
   const std::size_t max_terms =
       options.max_terms ? options.max_terms
                         : std::max<std::size_t>(modes.size(), flux.size());
+  std::vector<int> residual_sign(flux.size());
 
   for (std::size_t step = 0; step < max_terms; ++step) {
     bool residual_zero = true;
-    for (const auto& r : out.residual) residual_zero &= r.is_zero();
+    for (std::size_t j = 0; j < out.residual.size(); ++j) {
+      residual_sign[j] = out.residual[j].sign();
+      residual_zero = residual_zero && residual_sign[j] == 0;
+    }
     if (residual_zero) break;
 
     // Greedy pick: the compatible (mode, orientation) absorbing the most
@@ -84,10 +103,11 @@ Decomposition decompose_flux(const std::vector<BigRational>& flux,
     BigRational best_alpha;
     double best_mass = 0;
     for (std::size_t m = 0; m < modes.size(); ++m) {
+      const Orientations usable =
+          compatible_orientations(residual_sign, modes[m], reversible);
       for (bool negate : {false, true}) {
-        if (negate && !fully_reversible(modes[m], reversible)) continue;
+        if (!(negate ? usable.negated : usable.plain)) continue;
         BigRational alpha = max_step(out.residual, modes[m], negate);
-        if (alpha.is_zero()) continue;
         double mass = removed_mass(alpha, modes[m]);
         if (mass > best_mass) {
           best_mass = mass;

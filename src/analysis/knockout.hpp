@@ -48,14 +48,16 @@ struct KnockoutReport {
 /// Single-knockout screen against a target reaction: for every reaction
 /// (except the target), how many modes survive its removal and how many of
 /// them still carry flux through `target`.  Pure set filtering over the
-/// wild-type EFM list.
+/// wild-type EFM list, in one pass over it; every mode must have one entry
+/// per network reaction.
 KnockoutReport knockout_screen(const Network& network,
                                const std::vector<std::vector<BigInt>>& modes,
                                ReactionId target);
 
 /// Minimal cut sets of size <= 2 for the target reaction: reaction sets
 /// whose removal leaves no producing mode (and no proper subset does).
-/// A small instance of the paper's ref [4] (Haus, Klamt & Stephen).
+/// A small instance of the paper's ref [4] (Haus, Klamt & Stephen).  Every
+/// mode must have `num_reactions` entries.
 std::vector<std::vector<ReactionId>> minimal_cut_sets_2(
     const std::vector<std::vector<BigInt>>& modes, ReactionId target,
     std::size_t num_reactions);

@@ -30,8 +30,8 @@ std::vector<ModeYield> mode_yields(
     const std::vector<std::vector<BigInt>>& modes, ReactionId substrate,
     ReactionId product);
 
-/// The best yield and the mode achieving it; nullopt if no mode uses the
-/// substrate.
+/// The best yield and the mode achieving it (the first such mode on ties);
+/// nullopt if no mode uses the substrate.
 std::optional<ModeYield> optimal_yield(
     const std::vector<std::vector<BigInt>>& modes, ReactionId substrate,
     ReactionId product);
