@@ -10,6 +10,7 @@
 #include <bit>
 #include <compare>
 #include <cstdint>
+#include <span>
 
 #include "support/assert.hpp"
 
@@ -47,9 +48,6 @@ class Bitset64 {
   [[nodiscard]] bool is_subset_of(const Bitset64& other) const {
     return (bits_ & ~other.bits_) == 0;
   }
-  [[nodiscard]] bool intersects(const Bitset64& other) const {
-    return (bits_ & other.bits_) != 0;
-  }
 
   friend Bitset64 operator|(Bitset64 a, Bitset64 b) {
     return Bitset64(a.bits_ | b.bits_);
@@ -83,26 +81,20 @@ class Bitset64 {
     }
   }
 
-  [[nodiscard]] std::size_t hash() const {
-    // splitmix64 finaliser.
-    std::uint64_t z = bits_ + 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return static_cast<std::size_t>(z ^ (z >> 31));
-  }
-
   /// Approximate heap usage (none; the set is inline).
   [[nodiscard]] static std::size_t storage_bytes() { return 0; }
+
+  /// Raw word view (one word), matching DynBitset::words().
+  [[nodiscard]] std::span<const std::uint64_t> words() const {
+    return {&bits_, 1};
+  }
+  static Bitset64 from_words(std::span<const std::uint64_t> words) {
+    ELMO_DCHECK(words.size() == 1, "Bitset64 holds exactly one word");
+    return Bitset64(words[0]);
+  }
 
  private:
   std::uint64_t bits_ = 0;
 };
-
-/// |a ∪ b| without materialising the union — the candidate pre-test's inner
-/// operation, kept allocation-free because it runs per candidate pair
-/// (billions of times on the yeast networks).
-inline std::size_t union_count(const Bitset64& a, const Bitset64& b) {
-  return static_cast<std::size_t>(std::popcount(a.word() | b.word()));
-}
 
 }  // namespace elmo

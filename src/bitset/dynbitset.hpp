@@ -4,14 +4,23 @@
 // instantiated with either; genome-scale networks (BiGG models can exceed
 // 3000 reactions) require this representation.
 //
+// Storage: up to kInlineWords words (192 reactions, which covers the
+// paper's yeast networks) live inside the object, so building, moving and
+// comparing the candidate supports of those networks never touches the
+// heap.  Wider sets own one heap block.  Moves are the defaulted
+// member-wise moves; a moved-from set may only be destroyed or assigned.
+//
 // All instances participating in one computation must be constructed with
 // the same bit capacity; binary operations check this in debug builds.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <compare>
 #include <cstdint>
-#include <vector>
+#include <memory>
+#include <span>
 
 #include "support/assert.hpp"
 
@@ -19,65 +28,73 @@ namespace elmo {
 
 class DynBitset {
  public:
+  static constexpr std::size_t kInlineWords = 3;
+
   DynBitset() = default;
   explicit DynBitset(std::size_t bit_capacity)
-      : words_((bit_capacity + 63) / 64, 0) {}
+      : size_(static_cast<std::uint32_t>((bit_capacity + 63) / 64)) {
+    if (size_ > kInlineWords)
+      heap_ = std::make_unique<std::uint64_t[]>(size_);  // zeroed
+  }
 
-  [[nodiscard]] std::size_t capacity() const { return words_.size() * 64; }
+  DynBitset(const DynBitset& other)
+      : inline_(other.inline_), size_(other.size_) {
+    if (other.heap_) {
+      heap_ = std::make_unique_for_overwrite<std::uint64_t[]>(size_);
+      std::copy_n(other.heap_.get(), size_, heap_.get());
+    }
+  }
+  DynBitset& operator=(const DynBitset& other) {
+    if (this != &other) *this = DynBitset(other);
+    return *this;
+  }
+  DynBitset(DynBitset&&) noexcept = default;
+  DynBitset& operator=(DynBitset&&) noexcept = default;
+
+  [[nodiscard]] std::size_t capacity() const { return size_ * 64; }
 
   void set(std::size_t i) {
     ELMO_DCHECK(i < capacity(), "DynBitset index out of range");
-    words_[i >> 6] |= 1ULL << (i & 63);
+    data()[i >> 6] |= 1ULL << (i & 63);
   }
   void reset(std::size_t i) {
     ELMO_DCHECK(i < capacity(), "DynBitset index out of range");
-    words_[i >> 6] &= ~(1ULL << (i & 63));
+    data()[i >> 6] &= ~(1ULL << (i & 63));
   }
   [[nodiscard]] bool test(std::size_t i) const {
     ELMO_DCHECK(i < capacity(), "DynBitset index out of range");
-    return (words_[i >> 6] >> (i & 63)) & 1ULL;
+    return (data()[i >> 6] >> (i & 63)) & 1ULL;
   }
-  void clear() {
-    for (auto& word : words_) word = 0;
-  }
+  void clear() { std::fill_n(data(), size_, std::uint64_t{0}); }
 
   [[nodiscard]] std::size_t count() const {
     std::size_t total = 0;
-    for (auto word : words_)
+    for (auto word : words())
       total += static_cast<std::size_t>(std::popcount(word));
     return total;
   }
   [[nodiscard]] bool empty() const {
-    for (auto word : words_)
-      if (word) return false;
-    return true;
+    return std::ranges::all_of(words(), [](auto word) { return word == 0; });
   }
 
   [[nodiscard]] bool is_subset_of(const DynBitset& other) const {
-    ELMO_DCHECK(words_.size() == other.words_.size(),
-                "DynBitset capacity mismatch");
-    for (std::size_t i = 0; i < words_.size(); ++i)
-      if (words_[i] & ~other.words_[i]) return false;
+    ELMO_DCHECK(size_ == other.size_, "DynBitset capacity mismatch");
+    const std::uint64_t* rhs = other.data();
+    for (std::size_t i = 0; auto word : words())
+      if (word & ~rhs[i++]) return false;
     return true;
-  }
-  [[nodiscard]] bool intersects(const DynBitset& other) const {
-    ELMO_DCHECK(words_.size() == other.words_.size(),
-                "DynBitset capacity mismatch");
-    for (std::size_t i = 0; i < words_.size(); ++i)
-      if (words_[i] & other.words_[i]) return true;
-    return false;
   }
 
   DynBitset& operator|=(const DynBitset& rhs) {
-    ELMO_DCHECK(words_.size() == rhs.words_.size(),
-                "DynBitset capacity mismatch");
-    for (std::size_t i = 0; i < words_.size(); ++i) words_[i] |= rhs.words_[i];
+    ELMO_DCHECK(size_ == rhs.size_, "DynBitset capacity mismatch");
+    std::uint64_t* lhs = data();
+    for (std::size_t i = 0; auto word : rhs.words()) lhs[i++] |= word;
     return *this;
   }
   DynBitset& operator&=(const DynBitset& rhs) {
-    ELMO_DCHECK(words_.size() == rhs.words_.size(),
-                "DynBitset capacity mismatch");
-    for (std::size_t i = 0; i < words_.size(); ++i) words_[i] &= rhs.words_[i];
+    ELMO_DCHECK(size_ == rhs.size_, "DynBitset capacity mismatch");
+    std::uint64_t* lhs = data();
+    for (std::size_t i = 0; auto word : rhs.words()) lhs[i++] &= word;
     return *this;
   }
   friend DynBitset operator|(DynBitset a, const DynBitset& b) {
@@ -87,13 +104,17 @@ class DynBitset {
     return a &= b;
   }
 
-  friend bool operator==(const DynBitset& a, const DynBitset& b) = default;
+  friend bool operator==(const DynBitset& a, const DynBitset& b) {
+    return std::ranges::equal(a.words(), b.words());
+  }
   friend std::strong_ordering operator<=>(const DynBitset& a,
                                           const DynBitset& b) {
     // Most-significant word first so the ordering matches Bitset64's
     // numeric ordering on the low 64 bits when capacities are equal.
-    for (std::size_t i = a.words_.size(); i-- > 0;) {
-      if (auto cmp = a.words_[i] <=> b.words_[i]; cmp != 0) return cmp;
+    const std::uint64_t* wa = a.data();
+    const std::uint64_t* wb = b.data();
+    for (std::size_t i = a.size_; i-- > 0;) {
+      if (auto cmp = wa[i] <=> wb[i]; cmp != 0) return cmp;
     }
     return std::strong_ordering::equal;
   }
@@ -101,8 +122,9 @@ class DynBitset {
   /// Append the indices of set bits, in increasing order.
   template <typename IndexVector>
   void append_indices(IndexVector& out) const {
-    for (std::size_t w = 0; w < words_.size(); ++w) {
-      std::uint64_t rest = words_[w];
+    const std::uint64_t* words = data();
+    for (std::size_t w = 0; w < size_; ++w) {
+      std::uint64_t rest = words[w];
       while (rest) {
         out.push_back(static_cast<typename IndexVector::value_type>(
             w * 64 + static_cast<std::size_t>(std::countr_zero(rest))));
@@ -111,49 +133,38 @@ class DynBitset {
     }
   }
 
-  [[nodiscard]] std::size_t hash() const {
-    std::uint64_t h = 0x9e3779b97f4a7c15ULL;
-    for (auto word : words_) {
-      std::uint64_t z = word + h;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-      h = z ^ (z >> 31);
-    }
-    return static_cast<std::size_t>(h);
-  }
-
+  /// Heap bytes owned (none while the set fits inline).
   [[nodiscard]] std::size_t storage_bytes() const {
-    return words_.capacity() * sizeof(std::uint64_t);
+    return heap_ ? size_ * sizeof(std::uint64_t) : 0;
   }
 
-  /// Raw word view (message-passing serialisation).
-  [[nodiscard]] const std::vector<std::uint64_t>& words() const {
-    return words_;
+  /// Raw word view, least-significant word first (engine tables and
+  /// message-passing serialisation).
+  [[nodiscard]] std::span<const std::uint64_t> words() const {
+    return {data(), size_};
   }
-  static DynBitset from_words(std::vector<std::uint64_t> words) {
-    DynBitset out;
-    out.words_ = std::move(words);
+  static DynBitset from_words(std::span<const std::uint64_t> words) {
+    DynBitset out(words.size() * 64);
+    std::ranges::copy(words, out.data());
     return out;
-  }
-  /// Surrender the word buffer (leaves the set empty).  The candidate
-  /// engine's slab recycles survivor supports through this to avoid one
-  /// heap round trip per pre-test survivor.
-  [[nodiscard]] std::vector<std::uint64_t> take_words() && {
-    return std::move(words_);
   }
 
  private:
-  std::vector<std::uint64_t> words_;
+  // Selecting on the pointer alone (not on size_) keeps test() as cheap
+  // as an indexed vector load.
+  [[nodiscard]] std::uint64_t* data() {
+    return heap_ ? heap_.get() : inline_.data();
+  }
+  [[nodiscard]] const std::uint64_t* data() const {
+    return heap_ ? heap_.get() : inline_.data();
+  }
+
+  std::array<std::uint64_t, kInlineWords> inline_{};
+  std::unique_ptr<std::uint64_t[]> heap_;  // set iff size_ > kInlineWords
+  std::uint32_t size_ = 0;                 // words
 };
 
-/// |a ∪ b| without materialising the union (allocation-free hot path).
-inline std::size_t union_count(const DynBitset& a, const DynBitset& b) {
-  const auto& wa = a.words();
-  const auto& wb = b.words();
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < wa.size(); ++i)
-    total += static_cast<std::size_t>(std::popcount(wa[i] | wb[i]));
-  return total;
-}
+static_assert(sizeof(DynBitset) == 40,
+              "DynBitset: three inline words, one heap pointer, one count");
 
 }  // namespace elmo

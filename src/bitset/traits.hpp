@@ -23,4 +23,19 @@ Support make_support(std::size_t bits) {
   return make_support(bits, static_cast<const Support*>(nullptr));
 }
 
+/// Widest support the candidate engine accepts, in words (4,096
+/// reactions): survivor supports are assembled in a stack buffer this size.
+inline constexpr std::size_t kMaxSupportWords = 64;
+
+/// Word count of `support`, the stride of the engine's flat support
+/// tables; rejects supports wider than kMaxSupportWords.
+template <typename Support>
+std::size_t support_stride(const Support& support) {
+  const std::size_t stride = support.words().size();
+  ELMO_REQUIRE(stride <= kMaxSupportWords,
+               "network too wide for the candidate engine (more than 4096 "
+               "reactions)");
+  return stride;
+}
+
 }  // namespace elmo

@@ -108,7 +108,7 @@ inline void get_support(const std::uint8_t*& cursor, const std::uint8_t* end,
   std::size_t count = get_u64(cursor, end);
   std::vector<std::uint64_t> words(count);
   for (auto& w : words) w = get_u64(cursor, end);
-  s = DynBitset::from_words(std::move(words));
+  s = DynBitset::from_words(words);
 }
 
 }  // namespace detail

@@ -28,14 +28,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
-#include "bitset/bitset64.hpp"
-#include "bitset/dynbitset.hpp"
+#include "bitset/traits.hpp"
 #include "nullspace/flux_column.hpp"
 #include "nullspace/pairgen.hpp"
 #include "nullspace/stats.hpp"
-#include "support/assert.hpp"
 #include "support/timer.hpp"
 
 namespace elmo {
@@ -72,24 +71,16 @@ RowClassification classify_row(
 
 /// Contiguous word-array snapshot of a set of supports.  The candidate
 /// pre-test touches two supports per pair, billions of times per yeast
-/// iteration; flattening them removes the per-column pointer chase (and,
-/// for DynBitset, any allocation) from the inner loop.
-template <typename Support>
+/// iteration; flattening them removes the per-column pointer chase from
+/// the inner loop.
 class FlatSupports {
  public:
   void assign(const auto& columns, const std::vector<std::uint32_t>& chosen) {
-    if constexpr (std::is_same_v<Support, Bitset64>) {
-      stride_ = 1;
-      words_.resize(chosen.size());
-      for (std::size_t k = 0; k < chosen.size(); ++k)
-        words_[k] = columns[chosen[k]].support.word();
-    } else {
-      stride_ = chosen.empty() ? 1 : columns[chosen[0]].support.words().size();
-      words_.resize(chosen.size() * stride_);
-      for (std::size_t k = 0; k < chosen.size(); ++k) {
-        const auto& w = columns[chosen[k]].support.words();
-        std::copy(w.begin(), w.end(), words_.begin() + k * stride_);
-      }
+    stride_ = chosen.empty() ? 1 : support_stride(columns[chosen[0]].support);
+    words_.resize(chosen.size() * stride_);
+    for (std::size_t k = 0; k < chosen.size(); ++k) {
+      std::ranges::copy(columns[chosen[k]].support.words(),
+                        words_.begin() + k * stride_);
     }
   }
 
@@ -143,19 +134,15 @@ void generate_candidate_refs_reference(
   }
   const std::size_t max_union = rank + 2;
 
-  FlatSupports<Support> pos;
-  FlatSupports<Support> neg;
+  FlatSupports pos;
+  FlatSupports neg;
   pos.assign(columns, cls.positive);
   neg.assign(columns, cls.negative);
 
-  // Survivor supports are computed word-wise on the stack (the generic
-  // bitset operators would heap-allocate three temporaries per survivor —
-  // the full yeast run produces hundreds of millions of survivors).
-  constexpr std::size_t kMaxStackWords = 64;  // up to 4096 reactions
+  // Survivor supports are computed word-wise on the stack; assign capped
+  // the stride at kMaxSupportWords.
   const std::size_t stride = pos.stride();
-  ELMO_REQUIRE(stride <= kMaxStackWords,
-               "network too wide for the stack support buffer");
-  std::uint64_t union_words[kMaxStackWords];
+  std::uint64_t union_words[kMaxSupportWords];
 
   std::uint64_t p = *cursor;
   std::size_t i = static_cast<std::size_t>(p / negatives);
@@ -199,15 +186,9 @@ void generate_candidate_refs_reference(
       }
       if (size == 0 || size > rank + 1) continue;  // zero vector / nullity>=2
 
-      Support support = make_support<Support>(columns[0].values.size());
-      if constexpr (std::is_same_v<Support, Bitset64>) {
-        support = Bitset64(union_words[0]);
-      } else {
-        support = DynBitset::from_words(
-            std::vector<std::uint64_t>(union_words, union_words + stride));
-      }
-      out.push_back(CandidateRef<Support>{std::move(support),
-                                          cls.positive[i], cls.negative[j]});
+      out.push_back(CandidateRef<Support>{
+          Support::from_words({union_words, stride}), cls.positive[i],
+          cls.negative[j]});
       if (out.size() >= ref_cap) {
         ++s;
         ++j;
@@ -328,7 +309,6 @@ void process_pair_range(
   ValueSlab<Scalar> value_slab;  // recycles duplicate-probe value buffers
   PairGen<Scalar, Support> gen(tables, begin, end);
   while (!gen.done()) {
-    gen.recycle(refs);  // return last block's support buffers to the slab
     refs.clear();
     {
       ScopedPhase phase(phases, Phase::kGenCand);

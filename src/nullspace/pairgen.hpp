@@ -2,7 +2,7 @@
 // the positive x negative pair space (the algorithm's hot loop).
 //
 // Candidate generation dominates wall-clock on the yeast networks — the
-// paper's Network I run probes 159.6e9 pairs — so this engine composes four
+// paper's Network I run probes 159.6e9 pairs — so this engine composes three
 // optimizations on top of the straight scalar loop (kept as
 // generate_candidate_refs_reference in iteration.hpp, the differential
 // oracle):
@@ -23,10 +23,11 @@
 //               counting), selected per build via ELMO_SIMD=auto|avx2|
 //               scalar and verified bit-identical to the scalar kernel by
 //               a differential test.
-//   slab reuse  survivor supports (DynBitset word vectors) are recycled
-//               through a free-list between candidate blocks, removing
-//               the per-survivor heap round trip (hundreds of millions of
-//               survivors on a full yeast run).
+//
+// Every support type exposes its words as one span, so the tables and the
+// survivor emission have a single path for Bitset64 and DynBitset; up to
+// 192 reactions a DynBitset survivor is built inline, without a heap
+// allocation.
 //
 // Enumeration order and resumability: the engine assigns every pair a
 // stable "engine index" in [0, positives x negatives) — tile-major over
@@ -40,10 +41,8 @@
 #include <bit>
 #include <cstdint>
 #include <mutex>
-#include <type_traits>
 #include <vector>
 
-#include "bitset/bitset64.hpp"
 #include "bitset/traits.hpp"
 #include "nullspace/flux_column.hpp"
 #include "nullspace/stats.hpp"
@@ -142,37 +141,6 @@ __attribute__((target("avx2"))) inline unsigned group_survivor_mask(
 
 }  // namespace pairgen_detail
 
-/// Free-list of support word buffers, recycled between candidate blocks.
-/// DynBitset survivors otherwise cost one heap allocation each; Bitset64
-/// supports are inline and the slab is a no-op.
-template <typename Support>
-class SupportSlab {
- public:
-  [[nodiscard]] std::vector<std::uint64_t> acquire() {
-    if (free_.empty()) return {};
-    auto words = std::move(free_.back());
-    free_.pop_back();
-    return words;
-  }
-
-  void recycle(Support&& support) {
-    if constexpr (!std::is_same_v<Support, Bitset64>) {
-      free_.push_back(std::move(support).take_words());
-    }
-  }
-
-  /// Harvest every ref's support buffer (call before clearing a block).
-  void recycle_all(std::vector<CandidateRef<Support>>& refs) {
-    if constexpr (!std::is_same_v<Support, Bitset64>) {
-      free_.reserve(free_.size() + refs.size());
-      for (auto& ref : refs) recycle(std::move(ref.support));
-    }
-  }
-
- private:
-  std::vector<std::vector<std::uint64_t>> free_;
-};
-
 /// Slab of recycled value vectors for transient FluxColumn
 /// materialisations (duplicate probes, rejected candidates).  Accepted
 /// columns keep their vector; releasing a rejected one returns its
@@ -221,15 +189,11 @@ class PairGenTables {
         row_(row),
         max_union_(rank + 2),
         accept_cap_(rank + 1) {
-    if constexpr (std::is_same_v<Support, Bitset64>) {
-      stride_ = 1;
-    } else {
-      stride_ = columns.empty() || (positive.empty() && negative.empty())
-                    ? 1
-                    : columns[positive.empty() ? negative[0] : positive[0]]
-                          .support.words()
-                          .size();
-    }
+    stride_ = positive.empty() && negative.empty()
+                  ? 1
+                  : support_stride(
+                        columns[positive.empty() ? negative[0] : positive[0]]
+                            .support);
     use_simd_ = pairgen_detail::simd_selectable() && !config.force_scalar;
 
     build_side(columns, positive, pos_col_, pos_pop_, pos_words_);
@@ -303,13 +267,8 @@ class PairGenTables {
     for (std::size_t k = 0; k < keys.size(); ++k) {
       col[k] = keys[k].second;
       pop[k] = keys[k].first;
-      const auto& support = columns[col[k]].support;
-      if constexpr (std::is_same_v<Support, Bitset64>) {
-        words[k] = support.word();
-      } else {
-        const auto& w = support.words();
-        std::copy(w.begin(), w.end(), words.begin() + k * stride_);
-      }
+      std::ranges::copy(columns[col[k]].support.words(),
+                        words.begin() + k * stride_);
     }
   }
 
@@ -374,12 +333,6 @@ class PairGen {
 
   [[nodiscard]] bool done() const { return cursor_ >= end_; }
   [[nodiscard]] std::uint64_t cursor() const { return cursor_; }
-
-  /// Return a finished block's support buffers to the slab before the
-  /// caller clears it (no-op for inline supports).
-  void recycle(std::vector<CandidateRef<Support>>& refs) {
-    slab_.recycle_all(refs);
-  }
 
   /// Generate refs for engine indices from the cursor until the range is
   /// exhausted or `out` reaches `ref_cap` entries (bounded-memory
@@ -542,7 +495,7 @@ class PairGen {
   /// candidate is dropped if its exact support is empty (mirror columns)
   /// or still larger than rank + 1 (nullity >= 2).
   void emit(std::uint64_t i, std::uint64_t j_abs,
-            std::vector<CandidateRef<Support>>& out) {
+            std::vector<CandidateRef<Support>>& out) const {
     const std::size_t stride = t_->stride_;
     const auto& columns = *t_->columns_;
     const std::uint32_t pos_col =
@@ -557,12 +510,9 @@ class PairGen {
     const auto& v = columns[neg_col];
     const std::size_t row = t_->row_;
 
-    // Survivor supports are computed word-wise on the stack (the generic
-    // bitset operators would heap-allocate temporaries per survivor).
-    constexpr std::size_t kMaxStackWords = 64;  // up to 4096 reactions
-    ELMO_REQUIRE(stride <= kMaxStackWords,
-                 "network too wide for the stack support buffer");
-    std::uint64_t union_words[kMaxStackWords];
+    // Survivor supports are computed word-wise on the stack; the tables
+    // capped the stride at kMaxSupportWords.
+    std::uint64_t union_words[kMaxSupportWords];
 
     const Scalar a = -v.values[row];
     const Scalar b = u.values[row];
@@ -587,21 +537,13 @@ class PairGen {
     }
     if (size == 0 || size > t_->accept_cap_) return;
 
-    Support support;
-    if constexpr (std::is_same_v<Support, Bitset64>) {
-      support = Bitset64(union_words[0]);
-    } else {
-      auto words = slab_.acquire();
-      words.assign(union_words, union_words + stride);
-      support = Support::from_words(std::move(words));
-    }
-    out.push_back(CandidateRef<Support>{std::move(support), pos_col, neg_col});
+    out.push_back(CandidateRef<Support>{
+        Support::from_words({union_words, stride}), pos_col, neg_col});
   }
 
   const PairGenTables<Scalar, Support>* t_;
   std::uint64_t cursor_;
   std::uint64_t end_;
-  SupportSlab<Support> slab_;
 };
 
 }  // namespace elmo

@@ -1,7 +1,9 @@
 // Tests for support-set bitsets (Bitset64 and DynBitset share semantics).
 #include <gtest/gtest.h>
 
-#include <set>
+#include <algorithm>
+#include <string>
+#include <vector>
 
 #include "bitset/bitset64.hpp"
 #include "bitset/dynbitset.hpp"
@@ -38,11 +40,10 @@ TEST(Bitset64, SubsetAndIntersection) {
   EXPECT_TRUE(a.is_subset_of(b));
   EXPECT_FALSE(b.is_subset_of(a));
   EXPECT_TRUE(a.is_subset_of(a));
-  EXPECT_TRUE(a.intersects(b));
   Bitset64 c;
   c.set(7);
-  EXPECT_FALSE(a.intersects(c));
   EXPECT_TRUE(c.is_subset_of(c | a));
+  EXPECT_EQ((a & c).count(), 0u);
 }
 
 TEST(Bitset64, UnionPopcountIsTheCandidatePreTest) {
@@ -128,17 +129,119 @@ TEST(BitsetProperty, RepresentationsAgree) {
     EXPECT_EQ((a64 | b64).count(), (adyn | bdyn).count());
     EXPECT_EQ((a64 & b64).count(), (adyn & bdyn).count());
     EXPECT_EQ(a64.is_subset_of(b64), adyn.is_subset_of(bdyn));
-    EXPECT_EQ(a64.intersects(b64), adyn.intersects(bdyn));
     EXPECT_EQ(a64 == b64, adyn == bdyn);
     EXPECT_EQ(a64 < b64, adyn < bdyn);
+    EXPECT_TRUE(std::ranges::equal(a64.words(), adyn.words()));
+    EXPECT_EQ(Bitset64::from_words(a64.words()), a64);
   }
 }
 
-TEST(BitsetProperty, HashDistinguishesDistinctSets) {
-  std::set<std::size_t> hashes;
-  for (std::uint64_t w = 0; w < 1000; ++w) hashes.insert(Bitset64(w).hash());
-  // splitmix64 is injective on 64-bit inputs; no collisions expected here.
-  EXPECT_EQ(hashes.size(), 1000u);
+// Property: DynBitset against a std::vector<bool> model at widths on both
+// sides of the inline/heap boundary (3 words inline, 4 and more on the
+// heap), including copies and moves between the two storages.
+using Model = std::vector<bool>;
+
+DynBitset random_set(std::size_t bits, Rng& rng, Model& model) {
+  DynBitset out(bits);
+  model.assign(bits, false);
+  for (std::size_t k = 0; k < 1 + rng.below(bits / 4 + 1); ++k) {
+    const std::size_t i = rng.below(bits);
+    out.set(i);
+    model[i] = true;
+  }
+  return out;
+}
+
+void expect_matches(const DynBitset& set, const Model& model) {
+  ASSERT_EQ(set.words().size(), (model.size() + 63) / 64);
+  for (std::size_t i = 0; i < model.size(); ++i)
+    ASSERT_EQ(set.test(i), model[i]) << "bit " << i;
+  EXPECT_EQ(set.count(),
+            static_cast<std::size_t>(std::ranges::count(model, true)));
+}
+
+/// Most-significant bit first, as DynBitset orders its words.
+std::strong_ordering model_order(const Model& a, const Model& b) {
+  for (std::size_t i = a.size(); i-- > 0;)
+    if (a[i] != b[i]) return a[i] ? std::strong_ordering::greater
+                                   : std::strong_ordering::less;
+  return std::strong_ordering::equal;
+}
+
+TEST(BitsetProperty, DynBitsetMatchesBoolModel) {
+  Rng rng(7);
+  for (std::size_t bits : {130u, 192u, 193u, 500u}) {
+    SCOPED_TRACE(bits);
+    const bool heap = (bits + 63) / 64 > DynBitset::kInlineWords;
+    for (int iter = 0; iter < 200; ++iter) {
+      Model ma;
+      Model mb;
+      DynBitset a = random_set(bits, rng, ma);
+      DynBitset b = random_set(bits, rng, mb);
+      expect_matches(a, ma);
+      EXPECT_EQ(a.storage_bytes(), heap ? a.words().size() * 8 : 0u);
+
+      const std::size_t r = rng.below(bits);
+      a.reset(r);
+      ma[r] = false;
+      expect_matches(a, ma);
+
+      EXPECT_EQ(a == b, ma == mb);
+      EXPECT_EQ(a <=> b, model_order(ma, mb));
+      EXPECT_TRUE(a.is_subset_of(a | b));
+
+      Model m_or(bits);
+      Model m_and(bits);
+      for (std::size_t i = 0; i < bits; ++i) {
+        m_or[i] = ma[i] || mb[i];
+        m_and[i] = ma[i] && mb[i];
+      }
+      DynBitset u = a;
+      u |= b;
+      expect_matches(u, m_or);
+      DynBitset x = a;
+      x &= b;
+      expect_matches(x, m_and);
+      expect_matches(a, ma);  // the copies were deep
+
+      const DynBitset round = DynBitset::from_words(a.words());
+      EXPECT_EQ(round, a);
+      EXPECT_EQ(round <=> a, std::strong_ordering::equal);
+    }
+  }
+}
+
+TEST(BitsetProperty, DynBitsetCopiesAndMovesAcrossStorages) {
+  Rng rng(11);
+  for (std::size_t from : {130u, 192u, 193u, 500u}) {
+    for (std::size_t to : {130u, 192u, 193u, 500u}) {
+      SCOPED_TRACE(std::to_string(from) + " -> " + std::to_string(to));
+      Model model;
+      Model other;
+      const DynBitset source = random_set(from, rng, model);
+
+      DynBitset copied(source);
+      expect_matches(copied, model);
+      DynBitset moved(std::move(copied));
+      expect_matches(moved, model);
+
+      DynBitset assigned = random_set(to, rng, other);
+      assigned = source;
+      expect_matches(assigned, model);
+      assigned.set(0);
+      expect_matches(source, model);  // no shared words
+      const DynBitset& self = assigned;
+      assigned = self;
+      EXPECT_TRUE(assigned.test(0));
+
+      DynBitset move_assigned = random_set(to, rng, other);
+      DynBitset temp(source);
+      move_assigned = std::move(temp);
+      expect_matches(move_assigned, model);
+      temp = source;  // a moved-from set can be assigned again
+      expect_matches(temp, model);
+    }
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "bitset/bitset64.hpp"
+#include "bitset/dynbitset.hpp"
 #include "mpsim/fault.hpp"
 #include "mpsim/serialize.hpp"
 #include "nullspace/flux_column.hpp"
@@ -179,6 +180,68 @@ TEST(MpsimSerialize, ColumnsRoundTripBigIntDynBitset) {
       decode_columns<BigInt, DynBitset>(encode_columns(columns));
   ASSERT_EQ(decoded.size(), 1u);
   EXPECT_EQ(decoded[0], columns[0]);
+}
+
+/// One column whose support has the given bits set over `bits` positions.
+/// The value vector is short on purpose: encode_columns writes support and
+/// values independently, and a few values keep the pinned bytes readable.
+template <typename Support>
+FluxColumn<CheckedI64, Support> wire_column(std::size_t bits,
+                                            std::vector<std::size_t> set) {
+  FluxColumn<CheckedI64, Support> column;
+  column.support = make_support<Support>(bits);
+  for (std::size_t i : set) column.support.set(i);
+  column.values = {CheckedI64(3), CheckedI64(-1)};
+  return column;
+}
+
+std::string hex(const Payload& payload) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (std::uint8_t byte : payload) {
+    out.push_back(kDigits[byte >> 4]);
+    out.push_back(kDigits[byte & 15]);
+  }
+  return out;
+}
+
+TEST(MpsimSerialize, ColumnWireFormatIsPinned) {
+  // Pinned bytes: a change here changes every Communicate&Merge message
+  // (and mpsim.message_mb).
+  // Fields: column count, support, value count, values, CRC32; every
+  // integer little-endian.  Bitset64 writes its one word, DynBitset a
+  // word count and then its words, least-significant first.
+  EXPECT_EQ(hex(encode_columns(std::vector{
+                wire_column<Bitset64>(60, {0, 5, 63})})),
+            "0100000000000000"
+            "2100000000000080"
+            "0200000000000000"
+            "0300000000000000ffffffffffffffff"
+            "b53e7f94");
+  EXPECT_EQ(hex(encode_columns(std::vector{
+                wire_column<DynBitset>(100, {1, 64, 99})})),
+            "0100000000000000"
+            "0200000000000000"
+            "02000000000000000100000008000000"
+            "0200000000000000"
+            "0300000000000000ffffffffffffffff"
+            "23d82678");
+  const auto five_words = std::vector{
+      wire_column<DynBitset>(300, {0, 63, 64, 191, 192, 255, 256, 299})};
+  const Payload payload = encode_columns(five_words);
+  EXPECT_EQ(hex(payload),
+            "0100000000000000"
+            "0500000000000000"
+            "01000000000000800100000000000000"
+            "00000000000000800100000000000080"
+            "0100000000080000"
+            "0200000000000000"
+            "0300000000000000ffffffffffffffff"
+            "44521d72");
+  const auto decoded = decode_columns<CheckedI64, DynBitset>(payload);
+  ASSERT_EQ(decoded.size(), 1u);
+  EXPECT_EQ(decoded[0], five_words[0]);
+  EXPECT_EQ(decoded[0].support.count(), 8u);
 }
 
 TEST(MpsimSerialize, EmptyBatch) {

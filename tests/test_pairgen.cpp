@@ -1,10 +1,10 @@
 // Differential tests for the candidate-generation engine (pairgen.hpp).
 //
-// The engine composes popcount pruning, cache tiling, the SIMD pre-test
-// kernel and slab reuse — every one of which must be invisible in the
-// output.  The oracle is generate_candidate_refs_reference, the straight
-// scalar row-major loop the engine replaced: for random networks (both
-// support representations) the engine must produce the exact same
+// The engine composes popcount pruning, cache tiling and the SIMD pre-test
+// kernel — every one of which must be invisible in the output.  The oracle
+// is generate_candidate_refs_reference, the straight scalar row-major loop
+// the engine replaced: for random networks (Bitset64, and DynBitset with
+// inline and heap-held words) the engine must produce the exact same
 // candidate multiset, the same survivor counts, and charge every pair in
 // its range exactly once, under full-range, blocked, partitioned and
 // forced-scalar traversal alike.
@@ -133,6 +133,17 @@ void differential_case(std::size_t q, std::size_t nnz, std::size_t rank,
   EXPECT_EQ(eng_stats.pretest_survivors, ref_stats.pretest_survivors);
   EXPECT_LE(eng_stats.pairs_pruned, eng_stats.pairs_probed);
   EXPECT_EQ(ref_stats.pairs_pruned, 0u);
+
+  // Both generators build supports through from_words; check each one
+  // against the support of the combination it names, built bit by bit.
+  using Column = FluxColumn<CheckedI64, Support>;
+  std::vector<CheckedI64> combined;
+  for (const auto& ref : got) {
+    combine_values_into(columns[ref.positive], columns[ref.negative], row,
+                        combined);
+    EXPECT_TRUE(ref.support == Column::from_values(combined).support)
+        << "ref (" << ref.positive << ", " << ref.negative << ")";
+  }
 }
 
 TEST(PairGenDifferential, Bitset64MatchesReference) {
@@ -157,6 +168,41 @@ TEST(PairGenDifferential, DynBitsetTwoWordsMatchesReference) {
 
 TEST(PairGenDifferential, DynBitsetThreeWordsMatchesReference) {
   differential_case<DynBitset>(170, 8, 11, 13);
+}
+
+TEST(PairGenDifferential, DynBitsetHeapWordsMatchesReference) {
+  // Five words: past DynBitset's inline storage, so every survivor support
+  // owns a heap block.
+  differential_case<DynBitset>(300, 8, 11, 37);
+}
+
+TEST(PairGenTables, RejectsSupportsWiderThanTheCeiling) {
+  // 4,097 reactions need 65 words, one more than the engine's stack
+  // buffer; the tables reject them before any pair is probed.
+  for (std::size_t q : {std::size_t{4096}, std::size_t{4097}}) {
+    Cols<DynBitset> columns;
+    std::vector<CheckedI64> values(q, CheckedI64(0));
+    values[0] = CheckedI64(1);
+    values[q - 1] = CheckedI64(1);
+    columns.push_back(
+        FluxColumn<CheckedI64, DynBitset>::from_values(values));
+    values[0] = CheckedI64(-1);
+    columns.push_back(
+        FluxColumn<CheckedI64, DynBitset>::from_values(values));
+    const RowClassification cls = classify_row(columns, 0);
+    auto build = [&] {
+      PairGenTables<CheckedI64, DynBitset> tables(
+          columns, 0, cls.positive, cls.negative, cls.zero, 4);
+    };
+    if (q == 4096) {
+      EXPECT_NO_THROW(build());
+    } else {
+      EXPECT_THROW(build(), InvalidArgumentError);
+      IterationStats stats;
+      EXPECT_THROW(reference_refs(columns, 0, cls, 4, stats),
+                   InvalidArgumentError);
+    }
+  }
 }
 
 TEST(PairGenDifferential, PruneActuallyFires) {
