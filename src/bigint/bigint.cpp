@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "support/assert.hpp"
+#include "support/bytes.hpp"
 #include "support/error.hpp"
 
 namespace elmo {
@@ -415,36 +416,19 @@ BigInt BigInt::gcd(const BigInt& a, const BigInt& b) {
 void BigInt::serialize(std::vector<std::uint8_t>& out) const {
   // Header byte: bit 0 = negative; remaining bits unused.  Then a 32-bit
   // limb count and the limbs, least significant first.
-  out.push_back(negative_ ? 1 : 0);
-  auto count = static_cast<std::uint32_t>(limbs_.size());
-  for (int b = 0; b < 4; ++b)
-    out.push_back(static_cast<std::uint8_t>(count >> (8 * b)));
-  for (std::uint32_t limb : limbs_) {
-    for (int b = 0; b < 4; ++b)
-      out.push_back(static_cast<std::uint8_t>(limb >> (8 * b)));
-  }
+  put_u8(out, negative_ ? 1 : 0);
+  put_u32(out, static_cast<std::uint32_t>(limbs_.size()));
+  for (std::uint32_t limb : limbs_) put_u32(out, limb);
 }
 
 BigInt BigInt::deserialize(const std::uint8_t*& cursor,
                            const std::uint8_t* end) {
-  auto need = [&](std::size_t n) {
-    if (static_cast<std::size_t>(end - cursor) < n)
-      throw ParseError("BigInt::deserialize: truncated buffer");
-  };
-  need(5);
   BigInt value;
-  const bool negative = (*cursor++ & 1) != 0;
-  std::uint32_t count = 0;
-  for (int b = 0; b < 4; ++b)
-    count |= static_cast<std::uint32_t>(*cursor++) << (8 * b);
-  need(static_cast<std::size_t>(count) * 4);
-  value.limbs_.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    std::uint32_t limb = 0;
-    for (int b = 0; b < 4; ++b)
-      limb |= static_cast<std::uint32_t>(*cursor++) << (8 * b);
-    value.limbs_.push_back(limb);
-  }
+  const bool negative = (get_u8(cursor, end) & 1) != 0;
+  const std::uint32_t count = get_u32(cursor, end);
+  value.limbs_.reserve(bounded_count(count, cursor, end, 4));
+  for (std::uint32_t i = 0; i < count; ++i)
+    value.limbs_.push_back(get_u32(cursor, end));
   value.trim();
   value.negative_ = negative && !value.limbs_.empty();
   return value;

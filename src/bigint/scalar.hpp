@@ -15,7 +15,7 @@
 
 #include "bigint/bigint.hpp"
 #include "bigint/checked.hpp"
-#include "support/error.hpp"
+#include "support/bytes.hpp"
 
 namespace elmo {
 
@@ -76,26 +76,24 @@ inline std::size_t scalar_heap_bytes(const BigInt& x) {
   return x.storage_bytes();
 }
 
-// ---- byte codec (spill blocks, mpsim payloads) ----
+// ---- byte codec (column bodies: mpsim messages, spill blocks) ----
 // CheckedI64 encodes as a little-endian i64; BigInt as BigInt::serialize.
 inline void scalar_put(std::vector<std::uint8_t>& out, const CheckedI64& v) {
-  const auto u = static_cast<std::uint64_t>(v.value());
-  for (int b = 0; b < 8; ++b)
-    out.push_back(static_cast<std::uint8_t>(u >> (8 * b)));
+  put_u64(out, static_cast<std::uint64_t>(v.value()));
 }
 inline void scalar_put(std::vector<std::uint8_t>& out, const BigInt& v) {
   v.serialize(out);
 }
 
+/// Fewest bytes scalar_put writes for either scalar type (a BigInt's sign
+/// byte and limb count), the bound for a count of encoded scalars.
+inline constexpr std::size_t kMinScalarBytes = 5;
+
 /// Inverse of scalar_put; advances `cursor`.  Throws ParseError when the
 /// buffer ends before the scalar does.
 inline CheckedI64 scalar_get(const std::uint8_t*& cursor,
                              const std::uint8_t* end, const CheckedI64*) {
-  if (end - cursor < 8) throw ParseError("scalar: truncated int64");
-  std::uint64_t u = 0;
-  for (int b = 0; b < 8; ++b)
-    u |= static_cast<std::uint64_t>(*cursor++) << (8 * b);
-  return CheckedI64(static_cast<std::int64_t>(u));
+  return CheckedI64(static_cast<std::int64_t>(get_u64(cursor, end)));
 }
 inline BigInt scalar_get(const std::uint8_t*& cursor, const std::uint8_t* end,
                          const BigInt*) {

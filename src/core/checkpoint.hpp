@@ -6,9 +6,10 @@
 // later run can skip straight past them — making multi-hour Table-IV-class
 // runs interruptible.
 //
-// File format (little-endian, append-only):
+// File format (little-endian, append-only; support/bytes.hpp codec):
 //   8-byte magic "ELMOCKP1"
-//   repeated records: [u64 body_size][body][u32 crc32(body)]
+//   one checksummed frame per record: [u64 body_size][body][u32 crc32(body)],
+//   the frame spill files use
 // Record body:
 //   u64 pattern_count, then per entry: u64 reduced row, u8 nonzero-flag
 //   u64 candidate_pairs, f64 seconds, u64 extra_splits, u64 attempts
@@ -17,9 +18,10 @@
 // Modes are stored in the full reduced reaction space, after the
 // Proposition-1 filter, as scalar-agnostic BigInt — a checkpoint written by
 // the int64 kernel resumes bit-identically under the BigInt kernel and
-// vice versa.  The loader verifies each record's CRC and silently stops at
-// a truncated or damaged tail (the signature of a writer killed mid-append);
-// everything before the tail is recovered.
+// vice versa.  The loader verifies each record's CRC and bounds every size
+// and count it reads by the bytes left.  It silently stops at a truncated
+// or damaged tail (the signature of a writer killed mid-append), where a
+// spill file would throw; everything before the tail is recovered.
 #pragma once
 
 #include <cstdint>

@@ -59,6 +59,7 @@
 #include "nullspace/stats.hpp"
 #include "obs/obs.hpp"
 #include "support/assert.hpp"
+#include "support/bytes.hpp"
 #include "support/timer.hpp"
 
 namespace elmo {
@@ -200,13 +201,13 @@ ParallelSolveResult<Scalar, Support> solve_partitioned_parallel(
         const std::uint64_t target = total / num_ranks;
         // Deterministic plan known to every rank: sizes via gather.
         mpsim::Payload size_payload;
-        mpsim::detail::put_u64(size_payload, shard.size());
+        put_u64(size_payload, shard.size());
         auto size_batches = comm.all_gather(std::move(size_payload));
         std::vector<std::int64_t> sizes(num_ranks);
         for (int r = 0; r < num_ranks; ++r) {
           const std::uint8_t* cursor = size_batches[r].data();
-          sizes[r] = static_cast<std::int64_t>(mpsim::detail::get_u64(
-              cursor, cursor + size_batches[r].size()));
+          sizes[r] = static_cast<std::int64_t>(
+              get_u64(cursor, cursor + size_batches[r].size()));
         }
         // Greedy plan: (from, to, count) triples.
         struct Move {

@@ -1,5 +1,5 @@
-// Out-of-core candidate generation: the column codec over resource::SpillFile
-// and the chunked drive loop the governed solvers use under memory pressure.
+// Out-of-core candidate generation: the chunked drive loop the governed
+// solvers use under memory pressure, spilling to a resource::SpillFile.
 //
 // Under governor pressure (or in spill-always degrade mode) an iteration's
 // candidate generation runs in engine-index chunks; each chunk's accepted
@@ -10,77 +10,22 @@
 // column set is identical to the in-memory path (equal-support candidates
 // are value-identical, see iteration.hpp).
 //
-// Serialization is value-only: supports are recomputed by
-// FluxColumn::from_values on read-back (values are already primitive, so
-// the round trip is bit-exact).  Scalars use the shared scalar_put/
-// scalar_get codec (bigint/scalar.hpp), the same bytes mpsim messages carry.
+// A spill block is the column codec's body (put_columns,
+// nullspace/flux_column.hpp: supports and values, the same bytes an mpsim
+// message carries before its CRC tail) inside one SpillFile frame.
 #pragma once
 
 #include <vector>
 
-#include "bigint/scalar.hpp"
 #include "nullspace/flux_column.hpp"
 #include "nullspace/iteration.hpp"
 #include "nullspace/pairgen.hpp"
 #include "nullspace/stats.hpp"
 #include "resource/governor.hpp"
 #include "resource/spill.hpp"
-#include "support/error.hpp"
 #include "support/timer.hpp"
 
 namespace elmo {
-
-namespace detail {
-
-inline void spill_put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-inline std::uint32_t spill_get_u32(const std::uint8_t*& cursor,
-                                   const std::uint8_t* end) {
-  if (end - cursor < 4) throw ParseError("spill block: truncated u32");
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | cursor[i];
-  cursor += 4;
-  return v;
-}
-
-}  // namespace detail
-
-/// Serialize a batch of columns into one spill-block body (values only).
-template <typename Scalar, typename Support>
-std::vector<std::uint8_t> encode_spill_block(
-    const std::vector<FluxColumn<Scalar, Support>>& columns) {
-  std::vector<std::uint8_t> out;
-  detail::spill_put_u32(out, static_cast<std::uint32_t>(columns.size()));
-  for (const auto& column : columns) {
-    detail::spill_put_u32(out,
-                          static_cast<std::uint32_t>(column.values.size()));
-    for (const auto& v : column.values) scalar_put(out, v);
-  }
-  return out;
-}
-
-/// Inverse of encode_spill_block; appends to `out`.
-template <typename Scalar, typename Support>
-void decode_spill_block(const std::vector<std::uint8_t>& body,
-                        std::vector<FluxColumn<Scalar, Support>>& out) {
-  const std::uint8_t* cursor = body.data();
-  const std::uint8_t* end = body.data() + body.size();
-  const std::uint32_t count = detail::spill_get_u32(cursor, end);
-  out.reserve(out.size() + count);
-  for (std::uint32_t c = 0; c < count; ++c) {
-    const std::uint32_t n = detail::spill_get_u32(cursor, end);
-    std::vector<Scalar> values;
-    values.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i)
-      values.push_back(scalar_get<Scalar>(cursor, end));
-    out.push_back(FluxColumn<Scalar, Support>::from_values(std::move(values)));
-  }
-  if (cursor != end)
-    throw ParseError("spill block: trailing bytes after last column");
-}
 
 /// How the governed solvers spill.  Off by default; `always` is the
 /// degrade-ladder rung that forces every chunk out-of-core.
@@ -157,11 +102,14 @@ std::uint64_t process_pair_range_spilled(
     if (!chunk_accepted.empty() &&
         (policy.always || resident_bytes >= flush_bytes)) {
       ScopedPhase phase(phases, Phase::kMerge);
-      spill.append_block(encode_spill_block(chunk_accepted));
+      std::vector<std::uint8_t> body;
+      put_columns(body, chunk_accepted);
+      // Free the columns before the frame copy is made.
       chunk_accepted.clear();
       chunk_accepted.shrink_to_fit();
       candidate_lease.set(0);
       resident_bytes = 0;
+      spill.append_block(body);
     }
   }
 
@@ -172,7 +120,7 @@ std::uint64_t process_pair_range_spilled(
     ScopedPhase phase(phases, Phase::kMerge);
     std::vector<FluxColumn<Scalar, Support>> merged;
     spill.for_each_block([&](std::vector<std::uint8_t>&& body) {
-      decode_spill_block(body, merged);
+      get_columns<Scalar, Support>(body, merged);
     });
     for (auto& column : chunk_accepted) merged.push_back(std::move(column));
     chunk_accepted.clear();

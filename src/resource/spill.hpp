@@ -3,13 +3,14 @@
 // When the MemoryGovernor signals pressure, the solver serializes cold
 // candidate blocks and appends them here instead of keeping them resident,
 // then streams them back for the merge pass — turning a hard OOM into a
-// bounded slowdown.  The on-disk format mirrors the checkpoint codec idiom
-// (core/checkpoint.hpp): an 8-byte magic, then append-only frames of
+// bounded slowdown.  The file is an 8-byte magic, then one checksummed
+// frame per block (support/bytes.hpp, the frame checkpoint files use):
 //
 //   [u64 body_size][body bytes][u32 crc32(body)]
 //
-// all little-endian.  Every block read back is CRC-verified; damage
-// surfaces as CorruptPayloadError rather than decoded garbage.
+// all little-endian.  Every block read back is size-checked against the
+// file before it is allocated and CRC-verified; damage surfaces as
+// ParseError / CorruptPayloadError rather than decoded garbage.
 //
 // The file is created lazily on the first append, lives in the configured
 // directory (or the system temp directory), and is unlinked when the
@@ -26,11 +27,6 @@
 #include "resource/governor.hpp"
 
 namespace elmo::resource {
-
-/// CRC-32 (IEEE 802.3, reflected) over a byte range.  Same polynomial as
-/// the mpsim payload checksums, implemented locally so resource/ stays a
-/// leaf module.
-std::uint32_t crc32_bytes(const std::uint8_t* data, std::size_t size);
 
 class SpillFile {
  public:

@@ -19,8 +19,8 @@
 #include "models/toy.hpp"
 #include "models/yeast.hpp"
 #include "mpsim/fault.hpp"
-#include "mpsim/serialize.hpp"
 #include "nullspace/efm.hpp"
+#include "support/bytes.hpp"
 
 namespace elmo {
 namespace {
@@ -387,6 +387,87 @@ void expect_prefix_recovered(const std::string& path, const std::string& tail) {
   EXPECT_EQ(read_file_bytes(path), prefix);
 }
 
+std::string hex(const std::string& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (char c : bytes) {
+    const auto byte = static_cast<std::uint8_t>(c);
+    out.push_back(kDigits[byte >> 4]);
+    out.push_back(kDigits[byte & 15]);
+  }
+  return out;
+}
+
+TEST(Checkpoint, FileFormatIsPinned) {
+  // Pinned bytes: a change here makes existing checkpoint files unreadable
+  // by --resume.  Magic, then per record [u64 size][body][u32 crc32(body)];
+  // the body is the pattern (u64 row, u8 nonzero flag each), the counters
+  // (seconds as f64 bits) and the modes (u64 length, then BigInt bytes:
+  // sign byte, u32 limb count, u32 limbs), all little-endian.  Record a
+  // comes from the int64 kernel's columns, record b from the BigInt
+  // kernel's; -(2^64 + 1) is a negative three-limb value.
+  using I = CheckedI64;
+  ScratchFile file("ckpt_pinned.bin");
+  CheckpointRecord a;
+  a.pattern = {{3, true}, {7, false}};
+  a.modes = columns_to_bigint(std::vector{
+      FluxColumn<I, Bitset64>::from_values({I(1), I(-2), I(0)})});
+  a.candidate_pairs = 42;
+  a.seconds = 1.5;
+  a.extra_splits = 1;
+  a.attempts = 2;
+  CheckpointRecord b;
+  b.pattern = {{5, false}};
+  b.modes = columns_to_bigint(
+      std::vector{FluxColumn<BigInt, DynBitset>::from_values(
+          {BigInt::from_string("-18446744073709551617"), BigInt(0),
+           BigInt(2)})});
+  append_checkpoint_record(file.path(), a);
+  append_checkpoint_record(file.path(), b);
+  EXPECT_EQ(hex(read_file_bytes(file.path())),
+            "454c4d4f434b5031"
+            // record a: size 97, pattern (3, nonzero) (7, zero)
+            "6100000000000000"
+            "0200000000000000"
+            "030000000000000001"
+            "070000000000000000"
+            // pairs 42, seconds 1.5, extra splits 1, attempts 2
+            "2a00000000000000"
+            "000000000000f83f"
+            "0100000000000000"
+            "0200000000000000"
+            // one mode of length 3: 1, -2, 0
+            "0100000000000000"
+            "0300000000000000"
+            "000100000001000000"
+            "010100000002000000"
+            "0000000000"
+            "53150e1a"
+            // record b: size 96, pattern (5, zero), counters 0 0 0 1
+            "6000000000000000"
+            "0100000000000000"
+            "050000000000000000"
+            "0000000000000000"
+            "0000000000000000"
+            "0000000000000000"
+            "0100000000000000"
+            // one mode of length 3: -(2^64 + 1), 0, 2
+            "0100000000000000"
+            "0300000000000000"
+            "0103000000010000000000000001000000"
+            "0000000000"
+            "000100000002000000"
+            "7437180a");
+
+  const auto records = load_checkpoint(file.path());
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].pattern, a.pattern);
+  EXPECT_EQ(records[0].modes, a.modes);
+  EXPECT_EQ(records[1].pattern, b.pattern);
+  EXPECT_EQ(records[1].modes, b.modes);
+  EXPECT_DOUBLE_EQ(records[0].seconds, 1.5);
+}
+
 TEST(Checkpoint, FrameSizeThatWrapsIsTailDamage) {
   // u64 frame size 0xFFFF...FF then 4 bytes: size + 4 wraps to 3, so a
   // bound check on that sum passes and the CRC reads past the buffer.
@@ -415,7 +496,7 @@ TEST(Checkpoint, HugeCountWithValidCrcIsTailDamage) {
   std::string tail;
   put_le(tail, body.size(), 8);
   tail += body;
-  put_le(tail, mpsim::crc32(raw.data(), raw.size()), 4);
+  put_le(tail, crc32(raw.data(), raw.size()), 4);
   ScratchFile file("ckpt_huge_count.bin");
   expect_prefix_recovered(file.path(), tail);
 }

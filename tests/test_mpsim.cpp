@@ -260,13 +260,28 @@ TEST(MpsimSerialize, TruncatedBufferThrows) {
   EXPECT_THROW((decode_columns<CheckedI64, Bitset64>(payload)), ParseError);
 }
 
-TEST(MpsimSerialize, Crc32KnownVector) {
-  const std::string check = "123456789";
-  // char -> uint8_t view of the CRC test vector.  lint:allow(reinterpret-cast)
-  EXPECT_EQ(crc32(reinterpret_cast<const std::uint8_t*>(check.data()),
-                  check.size()),
-            0xCBF43926u);
-  EXPECT_EQ(crc32(nullptr, 0), 0u);
+TEST(MpsimSerialize, CraftedCountsAreParseErrors) {
+  // CRC-valid payloads whose counts claim far more than the bytes hold:
+  // each count is checked before anything is reserved for it.
+  const auto crafted = [](std::vector<std::uint64_t> words) {
+    Payload payload;
+    for (std::uint64_t w : words) put_u64(payload, w);
+    append_crc32(payload);
+    return payload;
+  };
+  constexpr std::uint64_t kHuge = std::uint64_t{1} << 61;
+  EXPECT_THROW((decode_columns<CheckedI64, DynBitset>(crafted({kHuge, 0, 0}))),
+               ParseError);
+  EXPECT_THROW((decode_columns<CheckedI64, DynBitset>(crafted({1, kHuge, 0}))),
+               ParseError);
+  // A well-formed column whose support is one word wider than any the
+  // candidate engine builds.
+  std::vector<std::uint64_t> too_wide = {1, kMaxSupportWords + 1};
+  too_wide.resize(too_wide.size() + kMaxSupportWords + 2, 0);
+  EXPECT_THROW((decode_columns<CheckedI64, DynBitset>(crafted(too_wide))),
+               ParseError);
+  EXPECT_THROW((decode_columns<CheckedI64, Bitset64>(crafted({1, 0, kHuge}))),
+               ParseError);
 }
 
 TEST(MpsimSerialize, CrcFramingRoundTrip) {

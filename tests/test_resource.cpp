@@ -21,8 +21,9 @@
 #include "models/ecoli_core.hpp"
 #include "models/toy.hpp"
 #include "models/yeast.hpp"
+#include "bitset/dynbitset.hpp"
 #include "mpsim/fault.hpp"
-#include "mpsim/serialize.hpp"
+#include "nullspace/flux_column.hpp"
 #include "nullspace/spill.hpp"
 #include "resource/shutdown.hpp"
 #include "resource/spill.hpp"
@@ -117,13 +118,6 @@ TEST(Governor, EnforceResidentThrowsTypedRetryableError) {
 // ---------------------------------------------------------------------------
 // SpillFile framing + CRC.
 
-TEST(Spill, Crc32MatchesIeeeTestVector) {
-  const char* s = "123456789";
-  // lint:allow(reinterpret-cast) byte view of a string literal
-  EXPECT_EQ(resource::crc32_bytes(reinterpret_cast<const std::uint8_t*>(s), 9),
-            0xCBF43926u);
-}
-
 TEST(Spill, FileRoundTripCreditsGovernorAndUnlinks) {
   MemoryGovernor gov;
   std::string path;
@@ -169,60 +163,73 @@ TEST(Spill, CorruptedBlockIsDetectedNotDecoded) {
                CorruptPayloadError);
 }
 
-// ---------------------------------------------------------------------------
-// Column codec.
+TEST(Spill, DamagedFrameSizeIsAParseError) {
+  // A size header of 2^62 or more must be checked against the file before
+  // the body is allocated, not turned into a failed allocation.
+  MemoryGovernor gov;
+  resource::SpillFile spill(::testing::TempDir(), &gov);
+  spill.append_block({10, 20, 30});
+  {
+    std::fstream f(spill.path(),
+                   std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(8 + 7);  // the size header's most significant byte
+    char byte = 0x40;
+    f.write(&byte, 1);
+  }
+  EXPECT_THROW(spill.for_each_block([](std::vector<std::uint8_t>&&) {}),
+               ParseError);
+}
 
-/// Round-trip a batch of primitive columns through the spill codec, check
-/// that damage (a trailing byte, a body cut short by one byte) is a
-/// ParseError, and check that each column's scalar bytes are exactly those
-/// of the mpsim message codec (both use scalar_put).
-template <typename Scalar>
-void check_spill_codec(const std::vector<std::vector<Scalar>>& batch) {
-  using Column = FluxColumn<Scalar, Bitset64>;
+// ---------------------------------------------------------------------------
+// Column codec: the body of every mpsim message and spill block.
+
+/// Round-trip a batch of primitive columns through put_columns/get_columns
+/// with `bits`-wide supports, and check that damage (a trailing byte, a
+/// body cut short by one byte) is a ParseError.
+template <typename Scalar, typename Support>
+void check_column_codec(const std::vector<std::vector<Scalar>>& batch,
+                        std::size_t bits) {
+  using Column = FluxColumn<Scalar, Support>;
   std::vector<Column> columns;
-  for (const auto& values : batch) {
+  for (auto values : batch) {
+    // Pad to the support width; the last entry sets a bit in the top word.
+    values.resize(bits, scalar_from_i64<Scalar>(0));
+    values[bits - 1] = scalar_from_i64<Scalar>(1);
     columns.push_back(Column::from_values(values));
     ASSERT_EQ(columns.back().values, values) << "test values must be primitive";
   }
-  auto body = encode_spill_block(columns);
+  std::vector<std::uint8_t> body;
+  put_columns(body, columns);
   std::vector<Column> decoded;
-  decode_spill_block(body, decoded);
-  ASSERT_EQ(decoded.size(), columns.size());
-  for (std::size_t i = 0; i < columns.size(); ++i) {
-    EXPECT_EQ(decoded[i].values, columns[i].values);
-    EXPECT_EQ(decoded[i].support, columns[i].support);  // recomputed
-  }
+  get_columns<Scalar, Support>(body, decoded);
+  EXPECT_EQ(decoded, columns);
 
   auto trailing = body;
   trailing.push_back(0);
   std::vector<Column> rejected;
-  EXPECT_THROW(decode_spill_block(trailing, rejected), ParseError);
+  EXPECT_THROW((get_columns<Scalar, Support>(trailing, rejected)), ParseError);
   auto truncated = body;
   truncated.pop_back();
-  EXPECT_THROW(decode_spill_block(truncated, rejected), ParseError);
-
-  // Spill: u32 count, u32 length, scalars.  mpsim: u64 count, u64 support
-  // word, u64 length, scalars, u32 CRC.
-  for (const auto& column : columns) {
-    const auto spill = encode_spill_block(std::vector<Column>{column});
-    const auto message = mpsim::encode_columns(std::vector<Column>{column});
-    EXPECT_EQ(std::vector<std::uint8_t>(spill.begin() + 8, spill.end()),
-              std::vector<std::uint8_t>(message.begin() + 24,
-                                        message.end() - 4));
-  }
+  EXPECT_THROW((get_columns<Scalar, Support>(truncated, rejected)), ParseError);
 }
 
-TEST(Spill, ColumnCodecRoundTripIsValueExact) {
+template <typename Scalar>
+void check_column_codec(const std::vector<std::vector<Scalar>>& batch) {
+  check_column_codec<Scalar, Bitset64>(batch, 64);
+  check_column_codec<Scalar, DynBitset>(batch, 300);  // five words
+}
+
+TEST(ColumnCodec, Int64RoundTripIsValueExact) {
   using I = CheckedI64;
   // -1 leads the extremes column: make_primitive stops at gcd 1 before it
   // meets INT64_MIN, whose absolute value CheckedI64 cannot form.
-  check_spill_codec<I>({{I(1), I(0), I(-7), I(42)},
-                        {I(0), I(123456789), I(-1), I(0)},
-                        {I(-1), I(INT64_MIN), I(0), I(INT64_MAX)}});
+  check_column_codec<I>({{I(1), I(0), I(-7), I(42)},
+                         {I(0), I(123456789), I(-1), I(0)},
+                         {I(-1), I(INT64_MIN), I(0), I(INT64_MAX)}});
 }
 
-TEST(Spill, BigIntCodecRoundTrip) {
-  check_spill_codec<BigInt>(
+TEST(ColumnCodec, BigIntRoundTrip) {
+  check_column_codec<BigInt>(
       {{BigInt::from_string("-123456789012345678901234567890"), BigInt(0),
         BigInt(11)},
        {BigInt::from_string("-340282366920938463463374607431768211457"),

@@ -1,10 +1,14 @@
-// Tests for the support module: assertions, timers, env helpers, RNG.
+// Tests for the support module: assertions, timers, env helpers, RNG and
+// the byte codec.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <set>
+#include <string>
 
 #include "support/assert.hpp"
+#include "support/bytes.hpp"
 #include "support/env.hpp"
 #include "support/error.hpp"
 #include "support/random.hpp"
@@ -39,6 +43,15 @@ TEST(Error, HierarchyCatchableAsBase) {
   MemoryBudgetError mem("m", 100, 50);
   EXPECT_EQ(mem.requested_bytes, 100u);
   EXPECT_EQ(mem.budget_bytes, 50u);
+}
+
+TEST(Bytes, Crc32MatchesIeeeTestVector) {
+  const std::string check = "123456789";
+  // char -> uint8_t view of the CRC test vector.  lint:allow(reinterpret-cast)
+  EXPECT_EQ(crc32(reinterpret_cast<const std::uint8_t*>(check.data()),
+                  check.size()),
+            0xCBF43926u);
+  EXPECT_EQ(crc32(nullptr, 0), 0u);
 }
 
 TEST(Timer, StopwatchAdvances) {
