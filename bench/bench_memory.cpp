@@ -113,8 +113,6 @@ int main(int argc, char** argv) {
          << ",\n    \"total_extra_splits\": " << extra_splits
          << ",\n    \"retried_subsets\": " << retried_subsets
          << ",\n    \"total_retries\": " << recovered.total_retries
-         << ",\n    \"simulated_backoff_seconds\": "
-         << recovered.simulated_backoff_seconds
          << ",\n    \"peak_rank_bytes\": " << peak << "\n  },\n";
   }
 

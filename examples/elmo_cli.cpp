@@ -9,6 +9,7 @@
 // The input format is the reaction-list text documented in
 // src/network/parser.hpp (and printed by --help).
 #include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -70,11 +71,12 @@ resource governance:
                             is enabled
   --spill-always            write every candidate block out-of-core
                             (stress/bit-identity testing)
-  --subset-deadline SECS    watchdog hard deadline per subset world
-                            (combined); soft straggler diagnosis at half
-                            that, wedged-world detection at the full value
-  --scale-deadlines         scale each subset's deadline by its estimated
-                            cost relative to the median subset
+  --subset-deadline SECS    watchdog hard deadline per simulated world
+                            (parallel, partitioned, combined); soft
+                            straggler diagnosis at half that, wedged-world
+                            detection at the full value; combined also
+                            scales each subset's deadline by its estimated
+                            cost relative to the median subset (up to 16x)
   SIGINT/SIGTERM cancel cooperatively at the next iteration boundary:
   completed subsets stay checkpointed, the report is flushed, and the
   process exits with code 75 (resumable) — rerun with --resume to continue
@@ -159,7 +161,9 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage(2);
       return argv[++i];
     };
-    auto next_number = [&](const char* flag) -> unsigned long long {
+    auto next_number = [&](const char* flag,
+                           unsigned long long max =
+                               ULLONG_MAX) -> unsigned long long {
       std::string value = next();
       errno = 0;
       char* end = nullptr;
@@ -169,6 +173,11 @@ int main(int argc, char** argv) {
         std::fprintf(stderr,
                      "error: %s expects a non-negative integer, got '%s'\n",
                      flag, value.c_str());
+        std::exit(2);
+      }
+      if (parsed > max) {
+        std::fprintf(stderr, "error: %s must be at most %llu, got '%s'\n",
+                     flag, max, value.c_str());
         std::exit(2);
       }
       return parsed;
@@ -183,9 +192,10 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--algorithm")) {
       algorithm = next();
     } else if (!std::strcmp(argv[i], "--ranks")) {
-      options.num_ranks = static_cast<int>(next_number("--ranks"));
+      options.num_ranks = static_cast<int>(next_number("--ranks", INT_MAX));
     } else if (!std::strcmp(argv[i], "--threads")) {
-      options.threads_per_rank = static_cast<int>(next_number("--threads"));
+      options.threads_per_rank =
+          static_cast<int>(next_number("--threads", INT_MAX));
     } else if (!std::strcmp(argv[i], "--knockout")) {
       knockout_names = split_csv(next());
     } else if (!std::strcmp(argv[i], "--partition")) {
@@ -220,14 +230,10 @@ int main(int argc, char** argv) {
                      value.c_str());
         std::exit(2);
       }
-      options.subset_deadlines.hard_seconds = seconds;
-      options.subset_deadlines.soft_seconds = seconds / 2.0;
-      options.subset_deadlines.stall_seconds = seconds;
-    } else if (!std::strcmp(argv[i], "--scale-deadlines")) {
-      options.scale_deadlines_by_estimate = true;
+      options.subset_deadline_seconds = seconds;
     } else if (!std::strcmp(argv[i], "--retries")) {
       options.retry.max_attempts =
-          static_cast<int>(next_number("--retries"));
+          static_cast<int>(next_number("--retries", INT_MAX));
     } else if (!std::strcmp(argv[i], "--retry-serial")) {
       options.retry.serial_final_attempt = true;
     } else if (!std::strcmp(argv[i], "--checkpoint")) {

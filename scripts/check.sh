@@ -28,7 +28,10 @@
 #      floor, then re-solve with --mem-limit barely above the floor (under
 #      a ulimit -v backstop) and require a clean exit, at least one spill
 #      block in report.json, no ledger-peak inflation over the
-#      unconstrained run, and a bit-identical EFM set.
+#      unconstrained run, and a bit-identical EFM set; then the
+#      retry-ladder smoke (scripts/retry_smoke.sh): a combined ecoli solve
+#      under a per-rank budget at 3/4 of its unbudgeted peak must re-split
+#      or retry, exit cleanly and write a byte-identical EFM set.
 #
 # Usage: scripts/check.sh [-jN]
 set -euo pipefail
@@ -111,7 +114,8 @@ run ./build/examples/json_check "${SMOKE_DIR}/analyze.json" \
     --require summary.total --require summary.active \
     --require summary.baselined
 
-echo "== 9/9 memory-capped spill smoke =="
+echo "== 9/9 memory-capped spill and retry-ladder smoke =="
 run scripts/mem_smoke.sh ./build/examples/elmo_cli
+run scripts/retry_smoke.sh ./build/examples/elmo_cli
 
 echo "all checks passed"

@@ -18,6 +18,7 @@
 #include "nullspace/stats.hpp"
 #include "obs/obs.hpp"
 #include "resource/governor.hpp"
+#include "resource/watchdog.hpp"
 #include "support/assert.hpp"
 #include "support/error.hpp"
 #include "support/timer.hpp"
@@ -93,6 +94,14 @@ EfmResult run_with(const CompressedProblem& compressed,
   // an explicit spill.enabled also works without any --mem-limit.
   if (options.mem_limit_bytes > 0) solver.spill.enabled = true;
 
+  // The one place a deadline becomes the watchdog's three thresholds.
+  resource::Deadlines deadlines;
+  if (options.subset_deadline_seconds > 0) {
+    deadlines.soft_seconds = options.subset_deadline_seconds / 2.0;
+    deadlines.hard_seconds = options.subset_deadline_seconds;
+    deadlines.stall_seconds = options.subset_deadline_seconds;
+  }
+
   std::vector<FluxColumn<Scalar, Support>> columns;
   switch (options.algorithm) {
     case Algorithm::kSerial: {
@@ -109,7 +118,7 @@ EfmResult run_with(const CompressedProblem& compressed,
       parallel.solver = solver;
       parallel.memory_budget_per_rank = options.memory_budget_per_rank;
       parallel.fault_plan = options.fault_plan;
-      parallel.deadlines = options.subset_deadlines;
+      parallel.deadlines = deadlines;
       auto solved =
           options.algorithm == Algorithm::kPartitioned
               ? solve_partitioned_parallel<Scalar, Support>(problem, parallel)
@@ -138,27 +147,24 @@ EfmResult run_with(const CompressedProblem& compressed,
       combined.fault_plan = options.fault_plan;
       combined.checkpoint_path = options.checkpoint_path;
       combined.resume_from = options.resume_from;
-      combined.subset_deadlines = options.subset_deadlines;
+      combined.subset_deadlines = deadlines;
       combined.on_subset = options.on_subset;
-      if (options.scale_deadlines_by_estimate &&
-          options.subset_deadlines.any()) {
-        // Estimate-based deadline scaling: a cheap prefix-run per subset
-        // ranks predicted cost; combined scales each subset's deadlines
-        // relative to the median.  (estimate.hpp includes combined.hpp, so
-        // the model is injected here rather than included there.)
-        combined.subset_cost_hint = [&problem](const SubsetSpec& spec) {
-          EstimateOptions estimate;
-          estimate.pair_budget = 200'000;
-          estimate.max_columns = 5'000;
-          return estimate_subset<Scalar, Support>(problem, spec, estimate)
-              .estimated_pairs;
-        };
-      }
+      // Estimate-based deadline scaling: a cheap prefix-run per subset
+      // predicts its cost; combined scales each subset's deadlines relative
+      // to the median, and calls this only when a deadline is set.
+      // (estimate.hpp includes combined.hpp, so the model is injected here
+      // rather than included there.)
+      combined.subset_cost_hint = [&problem](const SubsetSpec& spec) {
+        EstimateOptions estimate;
+        estimate.pair_budget = 200'000;
+        estimate.max_columns = 5'000;
+        return estimate_subset<Scalar, Support>(problem, spec, estimate)
+            .estimated_pairs;
+      };
       auto solved = solve_combined<Scalar, Support>(problem, combined);
       columns = std::move(solved.columns);
       result.stats = std::move(solved.total);
       result.total_retries = solved.total_retries;
-      result.simulated_backoff_seconds = solved.simulated_backoff_seconds;
       result.events = std::move(solved.events);
       for (const auto& subset : solved.subsets) {
         SubsetSummary summary;
@@ -175,7 +181,6 @@ EfmResult run_with(const CompressedProblem& compressed,
         summary.merge_seconds = subset.stats.phases.seconds(Phase::kMerge);
         summary.extra_splits = subset.extra_splits;
         summary.attempts = subset.attempts;
-        summary.backoff_seconds = subset.backoff_seconds;
         summary.resumed = subset.resumed;
         summary.ranks = make_rank_entries(subset.ranks, subset.rank_stats);
         result.subsets.push_back(std::move(summary));
@@ -252,15 +257,6 @@ EfmResult compute_efms(const CompressedProblem& compressed,
                                                options));
   } catch (const OverflowError&) {
     // Values outgrew 64 bits mid-computation: redo exactly.
-    auto result = run_with_support<BigInt>(compressed,
-                                           original_reversibility, options);
-    result.stats.bigint_fallback = true;
-    return finish(std::move(result));
-  } catch (const RetryExhaustedError&) {
-    if (!options.retry.bigint_fallback) throw;
-    // The retry ladder's last rung: rerun the whole computation in BigInt.
-    // A shared FaultPlan keeps its cumulative trigger state, so one-shot
-    // faults that doomed the int64 attempts do not refire here.
     auto result = run_with_support<BigInt>(compressed,
                                            original_reversibility, options);
     result.stats.bigint_fallback = true;

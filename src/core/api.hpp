@@ -16,6 +16,11 @@
 // Arithmetic: the fast overflow-checked int64 kernel runs first; if any
 // value exceeds 64 bits the computation transparently restarts with
 // arbitrary-precision integers (EfmResult::used_bigint reports this).
+//
+// Recovery is set by three values: `retry.max_attempts` and
+// `retry.serial_final_attempt` (Algorithm 3's per-subset ladder, see
+// core/retry.hpp) and `subset_deadline_seconds` (the watchdog deadline of
+// every simulated world, scaled per Algorithm-3 subset by its estimate).
 #pragma once
 
 #include <functional>
@@ -33,7 +38,6 @@
 #include "nullspace/spill.hpp"
 #include "nullspace/stats.hpp"
 #include "obs/obs.hpp"
-#include "resource/watchdog.hpp"
 
 namespace elmo {
 
@@ -82,23 +86,21 @@ struct EfmOptions {
   std::size_t mem_limit_bytes = 0;
   /// Out-of-core candidate spill policy (see nullspace/spill.hpp).
   SpillPolicy spill;
-  /// Watchdog deadlines per Algorithm-3 subset world (soft = straggler
-  /// diagnosis, hard/stall = abort + re-queue-with-split).  Scaled per
-  /// subset by the estimate-based cost model when
-  /// `scale_deadlines_by_estimate` is set.
-  resource::Deadlines subset_deadlines;
-  /// Predict each subset's cost (core/estimate.hpp prefix-run estimator)
-  /// and scale its deadlines relative to the median subset, so a
-  /// legitimately heavy subset is not punished by a budget sized for the
-  /// typical one.  Costs one estimator prefix-run per subset upfront.
-  bool scale_deadlines_by_estimate = false;
+  /// Watchdog deadline in seconds per simulated world (Algorithms 2-4;
+  /// one world per subset under Algorithm 3), 0 = unsupervised.  A world
+  /// gets a soft deadline (straggler diagnosis) at half this value and a
+  /// hard and a stall deadline (abort, and under Algorithm 3 re-queue with
+  /// a split) at the full value.  Algorithm 3 predicts each subset's cost
+  /// once (core/estimate.hpp prefix run, skipped for resumed subsets) and
+  /// widens a heavier-than-median subset's soft and hard deadlines by up to
+  /// 16x, so a legitimately heavy subset is not punished by a budget sized
+  /// for the typical one.
+  double subset_deadline_seconds = 0.0;
 
   /// Skip the int64 kernel and compute in BigInt directly.
   bool force_bigint = false;
 
-  /// Per-subset retry behaviour (Algorithm 3).  With bigint_fallback set,
-  /// a run that exhausts its attempts under the int64 kernel is redone in
-  /// BigInt as a last resort, mirroring the overflow fallback.
+  /// Per-subset retry behaviour (Algorithm 3).
   RetryPolicy retry;
   /// Deterministic fault injection for the simulated ranks (Algorithms
   /// 2-4); shared so trigger state persists across worlds and retries.
@@ -143,8 +145,6 @@ struct SubsetSummary {
   std::size_t extra_splits = 0;
   /// Attempts the subset took under the retry policy (1 = clean first try).
   std::size_t attempts = 1;
-  /// Simulated exponential backoff charged before the winning attempt.
-  double backoff_seconds = 0.0;
   /// True if the subset was recovered from `resume_from`, not recomputed.
   bool resumed = false;
   /// Per-rank traffic + timing breakdown (empty for resumed subsets).
@@ -184,8 +184,6 @@ struct EfmResult {
 
   /// Failed subset attempts re-queued by the retry policy (Algorithm 3).
   std::size_t total_retries = 0;
-  /// Total simulated backoff those retries were charged, in seconds.
-  double simulated_backoff_seconds = 0.0;
 
   /// Per-rank breakdown of the solve (Algorithms 2 and 4; Algorithm 3
   /// reports ranks per subset instead).

@@ -20,11 +20,12 @@
 // precisely what the paper did on Network II, where subsets 1 and 3 of the
 // {R54r, R90r, R60r} split had to be re-split by R22r (Table IV).
 // Fault tolerance: each subset is an independent, restartable unit of
-// work.  A RetryPolicy re-queues subsets that fail transiently (injected
-// rank crashes, corrupted payloads) or persistently (budget exhausted
-// beyond max_extra_splits), optionally shrinking the world or finishing
-// serially; completed subsets can be appended to a checkpoint file and a
-// later run with resume_from skips them, bit-identically.
+// work.  One classifier (detail::classify_failure) decides what a failed
+// attempt does: re-split, degrade, retry under the RetryPolicy (optionally
+// finishing serially) or propagate.  A subset's watchdog deadline scales
+// with its predicted cost, computed once when the subset is queued.
+// Completed subsets can be appended to a checkpoint file and a later run
+// with resume_from skips them, bit-identically.
 #pragma once
 
 #include <algorithm>
@@ -86,12 +87,15 @@ struct CombinedOptions {
   /// Watchdog supervision of each subset's world (soft = straggler
   /// diagnosis, hard/stall = abort + re-queue-with-split).  When
   /// subset_cost_hint is set, soft/hard deadlines scale per subset with
-  /// its predicted cost relative to the median subset, so a legitimately
-  /// heavy subset is not punished by a budget sized for the typical one.
+  /// its predicted cost relative to the median initial subset (clamped to
+  /// 1..16, so scaling only widens), so a legitimately heavy subset is not
+  /// punished by a budget sized for the typical one.
   resource::Deadlines subset_deadlines;
-  /// Optional cost model: predicted candidate pairs (or any monotone cost
-  /// proxy) for a subset.  Wired by the API layer from core/estimate.hpp
-  /// (which cannot be included here — it includes this header).
+  /// Cost model: predicted candidate pairs (or any monotone cost proxy)
+  /// for a subset, called once per queued subset that is not resumed, and
+  /// only when a deadline is set.  Wired by the API layer from
+  /// core/estimate.hpp (which cannot be included here — it includes this
+  /// header).
   std::function<double(const SubsetSpec&)> subset_cost_hint;
 
   /// Invoked once per committed subset (computed or resumed) with its
@@ -131,8 +135,6 @@ struct SubsetReport {
   std::size_t extra_splits = 0;
   /// How many attempts the subset took (1 = first try succeeded).
   std::size_t attempts = 1;
-  /// Simulated backoff charged before the successful attempt.
-  double backoff_seconds = 0.0;
   /// True if the subset was recovered from a checkpoint, not computed.
   bool resumed = false;
   /// Each simulated rank's own solver ledger (empty for resumed subsets).
@@ -148,9 +150,6 @@ struct CombinedResult {
   double seconds = 0.0;
   /// Failed subset attempts that were re-queued under the retry policy.
   std::size_t total_retries = 0;
-  /// Sum of the exponential-backoff delays, in simulated seconds.  Nothing
-  /// actually sleeps; the ledger makes retry cost visible in reports.
-  double simulated_backoff_seconds = 0.0;
   /// Timeline of notable moments (retries, re-splits, checkpoints,
   /// resumes), timestamped relative to the start of solve_combined.
   std::vector<obs::TimelineEvent> events;
@@ -194,6 +193,33 @@ Subproblem<Scalar> make_subproblem(const EfmProblem<Scalar>& problem,
     sub.problem.reaction_names.push_back(problem.reaction_names[j]);
   }
   return sub;
+}
+
+/// What the driver does with one failed subset attempt.
+struct Recovery {
+  bool retry = false;    // re-queue under the RetryPolicy (else propagate)
+  bool resplit = false;  // first split on the next spare reaction, if any
+  bool degrade = false;  // retry with smaller tiles and spill
+};
+
+template <typename Failure>
+bool is_a(const std::exception& e) {
+  return dynamic_cast<const Failure*>(&e) != nullptr;
+}
+
+/// The one failure classifier: budget, resource and deadline errors
+/// re-split first, resource errors also degrade, and those three plus
+/// world aborts, injected crashes and corrupted payloads are retried.
+/// Everything else propagates — CancelledError from a shutdown request,
+/// OverflowError for the API's BigInt restart, and genuine bugs.
+inline Recovery classify_failure(const std::exception& e) {
+  const bool resource = is_a<ResourceError>(e);
+  const bool resplit = resource || is_a<MemoryBudgetError>(e) ||
+                       is_a<DeadlineExceededError>(e);
+  const bool transient = is_a<mpsim::AbortedError>(e) ||
+                         is_a<mpsim::InjectedFaultError>(e) ||
+                         is_a<CorruptPayloadError>(e);
+  return {resplit || transient, resplit, resource};
 }
 
 }  // namespace detail
@@ -284,47 +310,57 @@ CombinedResult<Scalar, Support> solve_combined(
   if (!options.checkpoint_path.empty())
     repair_checkpoint(options.checkpoint_path);
 
+  auto checkpoint_key = [](const SubsetSpec& spec) {
+    std::vector<std::pair<std::uint64_t, bool>> key;
+    for (const auto& [row, nz] : spec.pattern) key.emplace_back(row, nz);
+    return key;
+  };
+
+  // Estimate-based deadline scaling (Braunstein et al.: predict a subset's
+  // demand before committing to it).  A subset's cost is predicted once,
+  // when it is queued, and rides on its Task through every retry; subsets
+  // the checkpoint already holds are never predicted.
+  bool predict_costs =
+      options.subset_cost_hint && options.subset_deadlines.any();
+  auto cost_hint = [&](const SubsetSpec& spec) {
+    return predict_costs && !completed.contains(checkpoint_key(spec))
+               ? options.subset_cost_hint(spec)
+               : 0.0;
+  };
+
   // Work queue of subtasks; adaptive re-splitting pushes refined subsets,
   // the retry policy re-queues failed ones with a higher attempt count.
   struct Task {
     SubsetSpec spec;
     std::size_t attempt = 1;
-    double backoff = 0.0;
     /// Retrying after resource exhaustion: apply the degrade ladder
     /// (halve the candidate tile, then spill-always, then serial).
     bool degrade = false;
+    /// Predicted cost (0 = none): scales this subset's deadlines.
+    double cost_hint = 0.0;
   };
   std::deque<Task> queue;
+  std::vector<double> hints;
   for (std::uint64_t id = 0; id < (1ULL << qsub); ++id) {
     SubsetSpec spec;
     for (std::size_t k = 0; k < qsub; ++k)
       spec.pattern.emplace_back(partition_rows[k], (id >> k) & 1);
-    queue.push_back(Task{std::move(spec), 1, 0.0, false});
+    const double hint = cost_hint(spec);
+    if (hint > 0) hints.push_back(hint);
+    queue.push_back(Task{std::move(spec), 1, false, hint});
   }
-
-  // Estimate-based deadline scaling: predict every initial subset's cost
-  // once and take the median as the unit the configured deadlines budget
-  // for.  (Braunstein et al.: predicting demand before committing to a
-  // subset.)
+  // The median initial subset is the unit the configured deadlines budget
+  // for; without one, nothing scales and re-split subsets skip prediction.
   double median_cost_hint = 0.0;
-  if (options.subset_cost_hint && options.subset_deadlines.any()) {
-    std::vector<double> hints;
-    hints.reserve(queue.size());
-    for (const auto& t : queue) {
-      const double h = options.subset_cost_hint(t.spec);
-      if (h > 0) hints.push_back(h);
-    }
-    if (!hints.empty()) {
-      std::nth_element(hints.begin(), hints.begin() + hints.size() / 2,
-                       hints.end());
-      median_cost_hint = hints[hints.size() / 2];
-    }
+  if (!hints.empty()) {
+    std::nth_element(hints.begin(), hints.begin() + hints.size() / 2,
+                     hints.end());
+    median_cost_hint = hints[hints.size() / 2];
   }
+  predict_costs = median_cost_hint > 0;
 
-  const std::size_t max_attempts =
-      options.retry.enabled() ? static_cast<std::size_t>(
-                                    options.retry.max_attempts)
-                              : 1;
+  const auto max_attempts =
+      static_cast<std::size_t>(std::max(1, options.retry.max_attempts));
 
   while (!queue.empty()) {
     if (resource::shutdown_requested()) {
@@ -341,8 +377,7 @@ CombinedResult<Scalar, Support> solve_combined(
     queue.pop_front();
     const SubsetSpec& spec = task.spec;
 
-    std::vector<std::pair<std::uint64_t, bool>> key;
-    for (const auto& [row, nz] : spec.pattern) key.emplace_back(row, nz);
+    const auto key = checkpoint_key(spec);
     if (auto it = completed.find(key); it != completed.end()) {
       // Recovered from checkpoint: re-materialise the stored BigInt modes
       // in this run's scalar type instead of recomputing the subset.
@@ -400,25 +435,18 @@ CombinedResult<Scalar, Support> solve_combined(
     // Watchdog deadlines for this subset's world, scaled by its predicted
     // cost relative to the median subset when a cost model is wired.
     parallel.deadlines = options.subset_deadlines;
-    if (median_cost_hint > 0) {
-      const double hint = options.subset_cost_hint(spec);
-      if (hint > 0) {
-        const double scale = std::clamp(hint / median_cost_hint, 1.0, 16.0);
-        parallel.deadlines.soft_seconds *= scale;
-        parallel.deadlines.hard_seconds *= scale;
-      }
+    if (median_cost_hint > 0 && task.cost_hint > 0) {
+      const double scale =
+          std::clamp(task.cost_hint / median_cost_hint, 1.0, 16.0);
+      parallel.deadlines.soft_seconds *= scale;
+      parallel.deadlines.hard_seconds *= scale;
     }
 
-    // Attempt shaping: optionally shrink the world on every retry, and run
-    // the last permitted attempt serially — one rank, no budget, no fault
-    // plan — so the ladder always has a clean exit.
+    // Attempt shaping: run the last permitted attempt serially — one rank,
+    // no budget, no fault plan — so the ladder always has a clean exit.
     const bool serial_attempt = options.retry.serial_final_attempt &&
                                 task.attempt >= max_attempts &&
                                 max_attempts > 1;
-    if (options.retry.halve_ranks_on_retry && task.attempt > 1) {
-      parallel.num_ranks = std::max(
-          1, options.num_ranks >> static_cast<int>(task.attempt - 1));
-    }
     if (task.degrade && task.attempt > 1) {
       // Resource degrade ladder (ResourceError / bad_alloc): each retry
       // halves the candidate tile again; from the second retry on, every
@@ -456,14 +484,15 @@ CombinedResult<Scalar, Support> solve_combined(
       for (bool nz : {false, true}) {
         SubsetSpec refined = spec;
         refined.pattern.emplace_back(extra, nz);
-        queue.push_front(Task{std::move(refined), 1, task.backoff, false});
+        const double hint = cost_hint(refined);
+        queue.push_front(Task{std::move(refined), 1, false, hint});
       }
       return true;
     };
-    // Re-queue the subset with a bumped attempt count and exponential
-    // backoff ledger, or exhaust the ladder.  Only valid inside a catch
-    // block (rethrows when max_attempts == 1).  `degrade` marks the retry
-    // as a resource retry so attempt shaping applies the degrade ladder.
+    // Re-queue the subset with a bumped attempt count, or exhaust the
+    // ladder.  Only valid inside a catch block (rethrows when
+    // max_attempts == 1).  `degrade` marks the retry as a resource retry so
+    // attempt shaping applies the degrade ladder.
     auto requeue_or_throw = [&](const std::string& what, bool degrade) {
       if (task.attempt >= max_attempts) {
         if (max_attempts > 1)
@@ -476,49 +505,19 @@ CombinedResult<Scalar, Support> solve_combined(
                  spec.label(problem.reaction_names) + ": " + what +
                      " (attempt " + std::to_string(task.attempt) + ")",
                  retries_counter);
-      const double delay =
-          options.retry.backoff_seconds *
-          static_cast<double>(1ULL << (task.attempt - 1));
-      result.simulated_backoff_seconds += delay;
-      queue.push_back(Task{spec, task.attempt + 1, task.backoff + delay,
-                           degrade || task.degrade});
+      queue.push_back(Task{spec, task.attempt + 1, degrade || task.degrade,
+                           task.cost_hint});
     };
 
     ParallelSolveResult<Scalar, Support> solved;
     try {
       solved =
           solve_combinatorial_parallel<Scalar, Support>(sub.problem, parallel);
-    } catch (const MemoryBudgetError&) {
-      // Per-rank budget bust: split first (halving the subset halves the
-      // per-rank matrix), then retry (the serial final attempt ignores the
-      // budget and will finish it).
-      if (try_resplit()) continue;
-      requeue_or_throw("memory budget exceeded", false);
-      continue;
-    } catch (const ResourceError& e) {
-      // Process-level exhaustion (--mem-limit bust or a real bad_alloc):
-      // split if possible, otherwise retry DEGRADED — smaller candidate
-      // tiles, then spill-always, then the serial ungoverned rung.
-      if (try_resplit()) continue;
-      requeue_or_throw(e.what(), true);
-      continue;
-    } catch (const DeadlineExceededError& e) {
-      // Watchdog hard deadline / wedged world: re-queue with a split so the
-      // halves fit the time budget; fall back to plain retries (the serial
-      // final attempt runs unsupervised).
-      if (try_resplit()) continue;
-      requeue_or_throw(e.what(), false);
-      continue;
     } catch (const std::exception& e) {
-      // Transient failures — an injected crash, a world abort, a corrupted
-      // payload — are retryable; everything else (including CancelledError
-      // from a shutdown request) is not and propagates.
-      const bool retryable =
-          dynamic_cast<const mpsim::AbortedError*>(&e) != nullptr ||
-          dynamic_cast<const mpsim::InjectedFaultError*>(&e) != nullptr ||
-          dynamic_cast<const CorruptPayloadError*>(&e) != nullptr;
-      if (!retryable) throw;
-      requeue_or_throw(e.what(), false);
+      const detail::Recovery recovery = detail::classify_failure(e);
+      if (!recovery.retry) throw;
+      if (recovery.resplit && try_resplit()) continue;
+      requeue_or_throw(e.what(), recovery.degrade);
       continue;
     }
 
@@ -533,7 +532,6 @@ CombinedResult<Scalar, Support> solve_combined(
     report.rank_stats = std::move(solved.per_rank);
     report.extra_splits = spec.pattern.size() - qsub;
     report.attempts = task.attempt;
-    report.backoff_seconds = task.backoff;
     std::vector<FluxColumn<Scalar, Support>> subset_columns;
     for (auto& column : solved.columns) {
       bool keep = true;

@@ -1,24 +1,22 @@
 // Retry policy for divide-and-conquer subsets (Algorithm 3).
 //
 // Each of the 2^qsub disjoint subsets is an independent, restartable unit
-// of work: when one fails transiently (an injected rank crash, a corrupted
-// payload) or persistently (memory budget exhausted beyond the adaptive
-// re-split depth), the driver re-queues it under this policy instead of
-// killing the whole run — the programmatic form of what the paper did by
-// hand on Network II (Table IV: subsets 1 and 3 were re-run re-split).
+// of work: when one fails transiently (an injected rank crash, a world
+// abort, a corrupted payload) or persistently (memory budget, --mem-limit
+// or watchdog deadline exhausted beyond the adaptive re-split depth), the
+// driver re-queues it under this policy instead of killing the whole run —
+// the programmatic form of what the paper did by hand on Network II
+// (Table IV: subsets 1 and 3 were re-run re-split).
 //
-// Resource failures climb the same ladder with DEGRADE shaping on top.  A
-// subset that died of ResourceError (process --mem-limit bust, or a real
-// std::bad_alloc classified in the generation kernel) or DeadlineExceededError
-// (watchdog hard deadline / wedged world) is first re-SPLIT if adaptive
-// headroom remains — halving the subset is the cheapest way to shrink both
-// its footprint and its runtime — and only then retried.  A resource retry
-// at attempt k runs with the candidate tile (block_ref_cap) halved k-1
-// times, with out-of-core spill enabled, and from the third attempt with
-// spill forced on every block; the serial final attempt additionally
-// ignores the memory limit and runs unsupervised (completing slowly beats
-// not completing).  The shaping lives in solve_combined's attempt setup;
-// this struct only carries the knobs shared by all failure classes.
+// solve_combined classifies each failure once (detail::classify_failure):
+// budget, resource and deadline errors re-split the subset first while
+// spare partition reactions remain; resource errors also DEGRADE the retry
+// (attempt k halves the candidate tile k-1 times, turns spill on, and from
+// the third attempt spills every block); those three plus world aborts,
+// injected crashes and corrupted payloads are retried up to max_attempts;
+// everything else, cancellation included, propagates.  The serial final
+// attempt ignores the budget, the memory limit, the fault plan and the
+// deadline (completing slowly beats not completing).
 #pragma once
 
 namespace elmo {
@@ -27,30 +25,11 @@ struct RetryPolicy {
   /// Total attempts per subset, including the first (1 = fail fast).
   int max_attempts = 1;
 
-  /// Simulated-time backoff: before retry k (k = 1 for the first retry)
-  /// the scheduler charges backoff_seconds * 2^(k-1) seconds to the
-  /// subset's timing ledger.  Nothing sleeps for real — mpsim time is
-  /// simulated — but the cost appears in SubsetSummary::backoff_seconds so
-  /// retry storms are visible in the same units as compute time.
-  double backoff_seconds = 0.0;
-
-  /// Attempt k runs with max(1, num_ranks >> (k - 1)) ranks: a shrinking
-  /// world tolerates the loss of simulated nodes.
-  bool halve_ranks_on_retry = false;
-
   /// The final attempt bypasses the simulated cluster entirely and solves
   /// the subset with serial Algorithm 1 — immune to injected faults and to
   /// the per-rank memory budget (the paper's "just run the survivor
   /// subsets wherever they fit" escape hatch).
   bool serial_final_attempt = false;
-
-  /// API-level rung of the ladder: if the int64 kernel exhausts all subset
-  /// retries, rerun the whole computation with BigInt (same path the
-  /// overflow fallback takes).  Off by default; useful when transient
-  /// triggers may have been consumed by the failed attempts.
-  bool bigint_fallback = false;
-
-  [[nodiscard]] bool enabled() const { return max_attempts > 1; }
 };
 
 }  // namespace elmo

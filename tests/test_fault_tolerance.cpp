@@ -1,8 +1,8 @@
 // End-to-end fault tolerance: per-subset retry in the Algorithm-3 driver,
-// subset checkpoint/restart, the BigInt last-resort rung of the retry
-// ladder, and the paper's Network-II memory story replayed under failure
-// injection (budgeted Algorithm 2 dies; Algorithm 3 with adaptive re-splits
-// and a retry policy completes and matches the serial result exactly).
+// the cost model behind deadline scaling, subset checkpoint/restart, and
+// the paper's Network-II memory story replayed under failure injection
+// (budgeted Algorithm 2 dies; Algorithm 3 with adaptive re-splits and a
+// retry policy completes and matches the serial result exactly).
 #include "core/api.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +13,8 @@
 #include <sstream>
 #include <string>
 
+#include "bitset/bitset64.hpp"
+#include "compress/compression.hpp"
 #include "core/checkpoint.hpp"
 #include "core/combined.hpp"
 #include "efm_test_util.hpp"
@@ -136,53 +138,13 @@ TEST(FaultTolerance, SerialFinalAttemptDefeatsPersistentCrashes) {
   options.fault_plan->crash_rank(1, 0, /*times=*/1000);
   options.retry.max_attempts = 2;
   options.retry.serial_final_attempt = true;
-  options.retry.backoff_seconds = 0.25;
   auto result = compute_efms(net, options);
 
   EXPECT_EQ(result.modes, baseline.modes);
   // Every one of the four subsets crashed once, then finished serially.
   EXPECT_EQ(result.total_retries, 4u);
-  EXPECT_DOUBLE_EQ(result.simulated_backoff_seconds, 4 * 0.25);
-  for (const auto& subset : result.subsets) {
+  for (const auto& subset : result.subsets)
     EXPECT_EQ(subset.attempts, 2u) << subset.label;
-    EXPECT_DOUBLE_EQ(subset.backoff_seconds, 0.25) << subset.label;
-  }
-}
-
-TEST(FaultTolerance, HalvedRanksStillAgree) {
-  Network net = models::toy_network();
-  auto baseline = compute_efms(net, toy_combined_options());
-
-  auto options = toy_combined_options();
-  options.fault_plan = std::make_shared<mpsim::FaultPlan>();
-  options.fault_plan->crash_rank(1, 2, /*times=*/1);
-  options.retry.max_attempts = 3;
-  options.retry.halve_ranks_on_retry = true;  // retries run with 1 rank
-  auto result = compute_efms(net, options);
-  EXPECT_EQ(result.modes, baseline.modes);
-  EXPECT_GE(result.total_retries, 1u);
-}
-
-TEST(FaultTolerance, BigIntFallbackIsTheLastRung) {
-  Network net = models::toy_network();
-  auto baseline = compute_efms(net, toy_combined_options());
-
-  auto options = toy_combined_options();
-  options.fault_plan = std::make_shared<mpsim::FaultPlan>();
-  // Five firings: failed subsets re-queue at the back, so the int64 pass
-  // burns one crash on each of the four subsets' first attempts and a
-  // fifth on the first re-attempt — exhausting that subset's two-attempt
-  // allowance and tripping the BigInt rung, which then runs on a depleted
-  // trigger and succeeds.
-  options.fault_plan->crash_rank(1, 0, /*times=*/5);
-  options.retry.max_attempts = 2;
-  options.retry.bigint_fallback = true;
-  auto result = compute_efms(net, options);
-
-  EXPECT_EQ(result.modes, baseline.modes);
-  EXPECT_TRUE(result.used_bigint);
-  EXPECT_TRUE(result.stats.bigint_fallback);
-  EXPECT_EQ(options.fault_plan->totals().crashes, 5u);
 }
 
 TEST(FaultTolerance, StragglerChangesNothingButTime) {
@@ -196,6 +158,58 @@ TEST(FaultTolerance, StragglerChangesNothingButTime) {
   EXPECT_EQ(result.modes, baseline.modes);
   EXPECT_EQ(result.total_retries, 0u);
   EXPECT_GT(options.fault_plan->totals().delays, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Deadline scaling's cost model: one prediction per queued subset.
+
+/// The toy split on {r6r, r8r} under a 600 s deadline with the one-shot
+/// crash of RankCrashMidRunIsRetried, and a cost hint that counts its calls.
+CombinedOptions toy_hinted_options(std::size_t& calls) {
+  CombinedOptions options;
+  options.partition_reactions = {"r6r", "r8r"};
+  options.num_ranks = 2;
+  options.subset_deadlines = {.soft_seconds = 300,
+                              .hard_seconds = 600,
+                              .stall_seconds = 600};
+  options.retry.max_attempts = 2;
+  options.fault_plan = std::make_shared<mpsim::FaultPlan>();
+  options.fault_plan->crash_rank(1, /*at_op=*/3, /*times=*/1);
+  options.subset_cost_hint = [&calls](const SubsetSpec&) {
+    ++calls;
+    return 1000.0;
+  };
+  return options;
+}
+
+TEST(FaultTolerance, CostHintRunsOncePerQueuedSubset) {
+  auto problem = to_problem<CheckedI64>(compress(models::toy_network()));
+  ScratchFile file("ckpt_hint.bin");
+
+  // Four subsets, one of them retried: four predictions, none repeated
+  // for the retry.
+  std::size_t calls = 0;
+  auto options = toy_hinted_options(calls);
+  options.checkpoint_path = file.path();
+  auto solved = solve_combined<CheckedI64, Bitset64>(problem, options);
+  EXPECT_EQ(solved.total_retries, 1u);
+  EXPECT_EQ(calls, 4u);
+
+  // Every subset resumes from the checkpoint: nothing to predict.
+  calls = 0;
+  auto resume = toy_hinted_options(calls);
+  resume.resume_from = file.path();
+  auto resumed = solve_combined<CheckedI64, Bitset64>(problem, resume);
+  EXPECT_EQ(resumed.columns.size(), solved.columns.size());
+  EXPECT_EQ(calls, 0u);
+
+  // No deadline, no scaling: nothing to predict either.
+  calls = 0;
+  auto unsupervised = toy_hinted_options(calls);
+  unsupervised.subset_deadlines = {};
+  auto plain = solve_combined<CheckedI64, Bitset64>(problem, unsupervised);
+  EXPECT_EQ(plain.columns.size(), solved.columns.size());
+  EXPECT_EQ(calls, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -463,10 +463,34 @@ TEST(Watchdog, MpsimHardDeadlineSurfacesAsDeadlineExceeded) {
   EfmOptions options;
   options.algorithm = Algorithm::kCombinatorialParallel;
   options.num_ranks = 2;
-  options.subset_deadlines.hard_seconds = 0.05;
+  options.subset_deadline_seconds = 0.05;
   options.fault_plan = std::make_shared<mpsim::FaultPlan>();
   options.fault_plan->straggle(1, /*delay_us=*/20'000);
   EXPECT_THROW(compute_efms(net, options), DeadlineExceededError);
+}
+
+TEST(Watchdog, CombinedSubsetDeadlineIsRecovered) {
+  // The same straggler under Algorithm 3: a subset world that outlives its
+  // (estimate-scaled) deadline re-enters the retry ladder, and the serial
+  // final attempt, which runs without deadline or fault plan, finishes it.
+  Network net = models::ecoli_core();
+  EfmOptions clean;
+  clean.algorithm = Algorithm::kCombined;
+  clean.num_ranks = 2;
+  auto baseline = compute_efms(net, clean);
+
+  EfmOptions options = clean;
+  options.subset_deadline_seconds = 0.05;
+  options.retry.max_attempts = 2;
+  options.retry.serial_final_attempt = true;
+  options.fault_plan = std::make_shared<mpsim::FaultPlan>();
+  options.fault_plan->straggle(1, /*delay_us=*/20'000);
+  auto result = compute_efms(net, options);
+
+  EXPECT_EQ(result.modes, baseline.modes);
+  std::size_t extra_splits = 0;
+  for (const auto& subset : result.subsets) extra_splits += subset.extra_splits;
+  EXPECT_GE(result.total_retries + extra_splits, 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@
 // signal lands), so the scenario polls the checkpoint file and signals as
 // soon as the first subset commits, and retries a few times if the run
 // still wins the race.  A run that completes cleanly is verified against
-// the baseline instead, so every outcome is checked.
+// the baseline instead, so every outcome is checked.  The same harness
+// checks that integer flags reject values a C int cannot hold.
 #include <gtest/gtest.h>
 
 #include <signal.h>
@@ -148,6 +149,20 @@ TEST(ShutdownCli, SigtermFlushesCheckpointAndResumeIsBitIdentical) {
   EXPECT_EQ(slurp(resumed_csv), baseline);
   // The finished checkpoint now covers every subset.
   EXPECT_EQ(load_checkpoint(ckpt).size(), 32u);
+}
+
+TEST(ShutdownCli, IntegerFlagsAboveIntMaxAreRejected) {
+  // 2^32 + 2 must not wrap to 2: the CLI rejects it like a negative value.
+  EXPECT_EQ(run_cli({"--builtin", "toy", "--algorithm", "parallel",
+                     "--ranks", "4294967298"}),
+            2);
+  EXPECT_EQ(run_cli({"--builtin", "toy", "--algorithm", "combined",
+                     "--ranks", "2", "--retries", "4294967298"}),
+            2);
+  // INT_MAX itself is a valid attempt count; toy never needs a retry.
+  EXPECT_EQ(run_cli({"--builtin", "toy", "--algorithm", "combined",
+                     "--ranks", "2", "--retries", "2147483647"}),
+            0);
 }
 
 TEST(ShutdownCli, ResumableExitCodeIsStable) {
