@@ -1,8 +1,9 @@
-// Microbenchmark: elementarity-test backends on realistic yeast supports.
+// Microbenchmark: the two reference rank testers on realistic yeast
+// supports.
 //
-// Compares the exact Bareiss rank test (paper's reference) with the dense
-// modular Z_(2^61-1) test (the sparse default's fallback target) per
-// candidate support.
+// Compares the exact Bareiss rank test (paper's reference, audit mode's
+// re-check) with the dense modular Z_(2^61-1) test (the solver engine's
+// fallback) per candidate support.
 #include <benchmark/benchmark.h>
 
 #include "bitset/dynbitset.hpp"

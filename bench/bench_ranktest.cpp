@@ -1,8 +1,8 @@
 // Rank-test engine benchmark (BENCH_ranktest.json).
 //
 // Measures the sparse amortized engine (nullspace/sparse_rank.hpp) against
-// the dense-modular tester (nullspace/modular_rank.hpp — the previous
-// default, kept as the in-binary reference) on the support populations
+// the dense-modular tester (nullspace/modular_rank.hpp — the engine's
+// fallback, kept as the in-binary reference) on the support populations
 // that dominate solver time:
 //
 //   yeast1_boundary   real candidate supports harvested from the first
@@ -21,9 +21,9 @@
 //   ecoli_boundary    harvested candidates on the E. coli core model — a
 //                     denser stoichiometry, regression-gated.
 //
-// The end-to-end section solves the knockout-yeast instance once per
-// backend (sparse vs dense-modular), checks the mode counts are identical,
-// and records total + rank-test-phase seconds.
+// The end-to-end section solves the knockout-yeast instance with the
+// solver's engine and records total + rank-test-phase seconds
+// (informational; the gates compare the testers directly).
 //
 // --json PATH writes the machine-readable record; --baseline PATH compares
 // per-scenario speedups (in-binary ratios, portable across machines)
@@ -268,50 +268,25 @@ ScenarioResult run_scenario(const std::string& name, const Fixture& fixture,
 }
 
 struct EndToEnd {
-  double sparse_seconds = 1e300;
-  double modular_seconds = 1e300;
-  double sparse_ranktest_seconds = 1e300;
-  double modular_ranktest_seconds = 1e300;
+  double seconds = 1e300;
+  double ranktest_seconds = 1e300;
   std::uint64_t modes = 0;
 };
 
+/// The solver's own engine end to end (informational, ungated): best of
+/// `reps` knockout-yeast solves, total and rank-test phase seconds.
 EndToEnd knockout_yeast_end_to_end(int reps) {
   auto problem =
       to_problem<CheckedI64>(compress(bench::network_1(/*full=*/false)));
   EndToEnd out;
-  std::uint64_t sparse_modes = 0;
-  std::uint64_t modular_modes = 0;
   for (int rep = 0; rep < reps; ++rep) {
-    for (const bool sparse : {true, false}) {
-      SolverOptions options;
-      options.rank_backend =
-          sparse ? RankTestBackend::kSparse : RankTestBackend::kModular;
-      Stopwatch watch;
-      auto result = solve_efms<CheckedI64, DynBitset>(problem, options);
-      const double seconds = watch.seconds();
-      const double rank_seconds = result.stats.phases.totals()["rank test"];
-      if (sparse) {
-        sparse_modes = result.columns.size();
-        out.sparse_seconds = std::min(out.sparse_seconds, seconds);
-        out.sparse_ranktest_seconds =
-            std::min(out.sparse_ranktest_seconds, rank_seconds);
-      } else {
-        modular_modes = result.columns.size();
-        out.modular_seconds = std::min(out.modular_seconds, seconds);
-        out.modular_ranktest_seconds =
-            std::min(out.modular_ranktest_seconds, rank_seconds);
-      }
-    }
+    Stopwatch watch;
+    auto result = solve_efms<CheckedI64, DynBitset>(problem);
+    out.seconds = std::min(out.seconds, watch.seconds());
+    out.ranktest_seconds = std::min(
+        out.ranktest_seconds, result.stats.phases.totals()["rank test"]);
+    out.modes = result.columns.size();
   }
-  if (sparse_modes != modular_modes) {
-    std::fprintf(stderr,
-                 "knockout-yeast mode counts diverge: sparse %llu vs "
-                 "modular %llu\n",
-                 static_cast<unsigned long long>(sparse_modes),
-                 static_cast<unsigned long long>(modular_modes));
-    std::exit(1);
-  }
-  out.modes = sparse_modes;
   return out;
 }
 
@@ -372,12 +347,10 @@ int main(int argc, char** argv) {
 
   const EndToEnd e2e = knockout_yeast_end_to_end(std::min(reps, 3));
   std::printf(
-      "\nknockout-yeast solve (%llu modes, identical across backends):\n"
-      "  sparse backend   %.2f s total, %.2f s in the rank-test phase\n"
-      "  modular backend  %.2f s total, %.2f s in the rank-test phase\n",
-      static_cast<unsigned long long>(e2e.modes), e2e.sparse_seconds,
-      e2e.sparse_ranktest_seconds, e2e.modular_seconds,
-      e2e.modular_ranktest_seconds);
+      "\nknockout-yeast solve (%llu modes): %.2f s total, %.2f s in the "
+      "rank-test phase\n",
+      static_cast<unsigned long long>(e2e.modes), e2e.seconds,
+      e2e.ranktest_seconds);
 
   bool gate_failed = false;
 
@@ -454,15 +427,9 @@ int main(int argc, char** argv) {
     doc.set("scenarios", std::move(scenario_json));
     obs::JsonValue end_to_end = obs::JsonValue::object();
     end_to_end.set("knockout_yeast_modes", obs::JsonValue(e2e.modes));
-    end_to_end.set("sparse_seconds", obs::JsonValue(e2e.sparse_seconds));
-    end_to_end.set("modular_seconds", obs::JsonValue(e2e.modular_seconds));
+    end_to_end.set("sparse_seconds", obs::JsonValue(e2e.seconds));
     end_to_end.set("sparse_ranktest_seconds",
-                   obs::JsonValue(e2e.sparse_ranktest_seconds));
-    end_to_end.set("modular_ranktest_seconds",
-                   obs::JsonValue(e2e.modular_ranktest_seconds));
-    end_to_end.set("ranktest_speedup",
-                   obs::JsonValue(e2e.modular_ranktest_seconds /
-                                  e2e.sparse_ranktest_seconds));
+                   obs::JsonValue(e2e.ranktest_seconds));
     doc.set("end_to_end", std::move(end_to_end));
     std::FILE* out = std::fopen(json_path.c_str(), "wb");
     if (out == nullptr) {

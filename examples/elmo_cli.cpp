@@ -82,13 +82,9 @@ resource governance:
   process exits with code 75 (resumable) — rerun with --resume to continue
   losing at most one iteration.  A second signal kills immediately.
 
-  --rank-backend NAME       rank-test backend: sparse (default; amortized
-                            sparse-modular with per-candidate dense
-                            fallback), modular (dense mod 2^61-1), or
-                            exact (Bareiss over exact integers)
-  --exact-rank-test         shorthand for --rank-backend exact
   --audit                   re-verify the algorithm's invariants at runtime
-                            (S*R = 0 per iteration, exact rank-nullity,
+                            (S*R = 0 per iteration, exact Bareiss
+                            rank-nullity of every accepted candidate,
                             support minimality, subset partition coverage,
                             pair conservation) and print the audit tally
   --stats                   print counters and phase times
@@ -240,22 +236,6 @@ int main(int argc, char** argv) {
       options.checkpoint_path = next();
     } else if (!std::strcmp(argv[i], "--resume")) {
       options.resume_from = next();
-    } else if (!std::strcmp(argv[i], "--rank-backend")) {
-      const std::string value = next();
-      if (value == "sparse") {
-        options.rank_backend = RankTestBackend::kSparse;
-      } else if (value == "modular") {
-        options.rank_backend = RankTestBackend::kModular;
-      } else if (value == "exact") {
-        options.rank_backend = RankTestBackend::kExact;
-      } else {
-        std::fprintf(stderr,
-                     "--rank-backend expects sparse|modular|exact, got '%s'\n",
-                     value.c_str());
-        std::exit(2);
-      }
-    } else if (!std::strcmp(argv[i], "--exact-rank-test")) {
-      options.rank_backend = RankTestBackend::kExact;
     } else if (!std::strcmp(argv[i], "--audit")) {
       options.audit = true;
     } else if (!std::strcmp(argv[i], "--trace")) {
@@ -397,14 +377,7 @@ int main(int argc, char** argv) {
             rows = select_partition_rows(problem, options.ordering,
                                          options.qsub);
           } else {
-            for (const auto& name : options.partition_reactions) {
-              for (std::size_t j = 0; j < problem.num_reactions(); ++j) {
-                if (problem.reaction_names[j] == name) {
-                  rows.push_back(j);
-                  break;
-                }
-              }
-            }
+            rows = partition_columns(compressed, options.partition_reactions);
           }
         }
         if (rows.empty()) {

@@ -10,7 +10,8 @@
 //                        null(S) under convex combination).
 //   rank-nullity         every accepted candidate's support submatrix has
 //                        nullity exactly 1 (Algorithm 1's rank test),
-//                        re-verified with the exact Bareiss backend.
+//                        re-verified with the exact Bareiss RankTester,
+//                        which only audit mode builds.
 //   support-minimality   the final column set is an antichain under strict
 //                        support inclusion (elementarity = support
 //                        minimality; equal supports are mirror modes).
@@ -162,8 +163,8 @@ class InvariantAuditor {
   }
 
   /// rank-nullity: each accepted candidate passes the EXACT rank test
-  /// (nullity of the support submatrix == 1), independent of whichever
-  /// backend the solver used to accept it.
+  /// (nullity of the support submatrix == 1), independent of the modular
+  /// engine that accepted it.
   template <typename Scalar, typename Support>
   void check_rank_nullity(
       RankTester<Scalar>& exact_tester,

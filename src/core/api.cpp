@@ -12,7 +12,6 @@
 #include "mpsim/communicator.hpp"
 #include "network/network.hpp"
 #include "nullspace/efm.hpp"
-#include "nullspace/elementarity.hpp"
 #include "nullspace/flux_column.hpp"
 #include "nullspace/solver.hpp"
 #include "nullspace/stats.hpp"
@@ -59,22 +58,6 @@ std::vector<obs::RankEntry> make_rank_entries(
   return entries;
 }
 
-/// Map ORIGINAL partition reaction names to reduced-problem names.
-std::vector<std::string> reduced_partition_names(
-    const CompressedProblem& compressed,
-    const std::vector<std::string>& original_names) {
-  std::vector<std::string> reduced;
-  reduced.reserve(original_names.size());
-  for (const auto& name : original_names) {
-    auto column = compressed.column_for(name);
-    ELMO_REQUIRE(column.has_value(),
-                 "partition reaction " + name +
-                     " was removed by compression (forced zero flux)");
-    reduced.push_back(compressed.reaction_names[*column]);
-  }
-  return reduced;
-}
-
 template <typename Scalar, typename Support>
 EfmResult run_with(const CompressedProblem& compressed,
                    const std::vector<bool>& original_reversibility,
@@ -85,7 +68,6 @@ EfmResult run_with(const CompressedProblem& compressed,
 
   SolverOptions solver;
   solver.ordering = options.ordering;
-  solver.rank_backend = options.rank_backend;
   solver.on_iteration = options.on_iteration;
   solver.record_history = options.record_history;
   solver.audit = options.audit;
@@ -133,10 +115,10 @@ EfmResult run_with(const CompressedProblem& compressed,
     }
     case Algorithm::kCombined: {
       CombinedOptions combined;
-      if (!options.partition_reactions.empty()) {
-        combined.partition_reactions =
-            reduced_partition_names(compressed, options.partition_reactions);
-      }
+      for (std::size_t column :
+           partition_columns(compressed, options.partition_reactions))
+        combined.partition_reactions.push_back(
+            compressed.reaction_names[column]);
       combined.qsub = options.qsub;
       combined.num_ranks = options.num_ranks;
       combined.threads_per_rank = options.threads_per_rank;
@@ -283,6 +265,21 @@ const char* algorithm_name(Algorithm algorithm) {
   return "unknown";
 }
 
+std::vector<std::size_t> partition_columns(
+    const CompressedProblem& compressed,
+    const std::vector<std::string>& original_names) {
+  std::vector<std::size_t> columns;
+  columns.reserve(original_names.size());
+  for (const auto& name : original_names) {
+    auto column = compressed.column_for(name);
+    ELMO_REQUIRE(column.has_value(),
+                 "partition reaction " + name +
+                     " was removed by compression (forced zero flux)");
+    columns.push_back(*column);
+  }
+  return columns;
+}
+
 obs::SolveReport make_solve_report(const EfmResult& result,
                                    const EfmOptions& options,
                                    const std::string& network_label) {
@@ -290,10 +287,6 @@ obs::SolveReport make_solve_report(const EfmResult& result,
   report.network = network_label;
   report.algorithm = algorithm_name(options.algorithm);
   report.num_ranks = options.num_ranks;
-  report.config["rank_backend"] =
-      options.rank_backend == RankTestBackend::kSparse    ? "sparse"
-      : options.rank_backend == RankTestBackend::kModular ? "modular"
-                                                          : "exact";
   report.config["threads_per_rank"] =
       std::to_string(options.threads_per_rank);
   if (options.algorithm == Algorithm::kCombined) {

@@ -16,6 +16,10 @@
 // Arithmetic: the fast overflow-checked int64 kernel runs first; if any
 // value exceeds 64 bits the computation transparently restarts with
 // arbitrary-precision integers (EfmResult::used_bigint reports this).
+// Every driver decides elementarity with one rank test, the sparse modular
+// engine (nullspace/sparse_rank.hpp): accepts are certified, rejects are
+// Monte-Carlo with error about 2^-45 per candidate; `audit` re-checks every
+// accept with exact Bareiss elimination.
 //
 // Recovery is set by three values: `retry.max_attempts` and
 // `retry.serial_final_attempt` (Algorithm 3's per-subset ladder, see
@@ -32,7 +36,6 @@
 #include "compress/compression.hpp"
 #include "core/retry.hpp"
 #include "network/network.hpp"
-#include "nullspace/elementarity.hpp"
 #include "nullspace/initial_basis.hpp"
 #include "nullspace/solver.hpp"
 #include "nullspace/spill.hpp"
@@ -57,7 +60,6 @@ struct EfmOptions {
 
   CompressionOptions compression;
   OrderingOptions ordering;
-  RankTestBackend rank_backend = RankTestBackend::kSparse;
 
   /// Simulated compute ranks (Algorithms 2, 3 and 4).
   int num_ranks = 1;
@@ -203,6 +205,15 @@ EfmResult compute_efms(const Network& network, const EfmOptions& options = {});
 EfmResult compute_efms(const CompressedProblem& compressed,
                        const std::vector<bool>& original_reversibility,
                        const EfmOptions& options = {});
+
+/// Reduced columns of Algorithm 3's partition reactions, named in the
+/// ORIGINAL network: a reaction compression merged maps to its
+/// representative's column.  The one mapping compute_efms and elmo_cli's
+/// estimate use; throws if compression removed a reaction (forced zero
+/// flux).
+std::vector<std::size_t> partition_columns(
+    const CompressedProblem& compressed,
+    const std::vector<std::string>& original_names);
 
 /// Human-readable name of an algorithm ("serial", "parallel", "combined",
 /// "partitioned").

@@ -20,10 +20,10 @@
 #include <cmath>
 
 #include "core/combined.hpp"
-#include "nullspace/elementarity.hpp"
 #include "nullspace/flux_column.hpp"
 #include "nullspace/initial_basis.hpp"
 #include "nullspace/problem.hpp"
+#include "nullspace/sparse_rank.hpp"
 #include "nullspace/stats.hpp"
 #include "support/timer.hpp"
 
@@ -58,12 +58,10 @@ SubsetEstimate estimate_subset(const EfmProblem<Scalar>& problem,
   auto basis = compute_initial_basis<Scalar, Support>(
       prepared.problem, OrderingOptions{},
       prepared.excluded(sub.nzf_sub_rows));
-  // The exact backend keeps the estimates independent of Monte-Carlo
-  // verdicts.
-  Elementarity<Scalar, Support> oracle(prepared.problem.stoichiometry,
-                                       basis.columns, RankTestBackend::kExact);
-  auto is_elementary = [&oracle](const Support& support) {
-    return oracle.is_elementary(support);
+  SparseRankTester<Scalar> tester(prepared.problem.stoichiometry,
+                                  basis.columns);
+  auto is_elementary = [&tester](const Support& support) {
+    return tester.is_elementary(support);
   };
   auto columns = std::move(basis.columns);
 
@@ -84,7 +82,8 @@ SubsetEstimate estimate_subset(const EfmProblem<Scalar>& problem,
     }
     IterationStats iteration;
     auto cls = classify_row(columns, row);
-    oracle.begin_iteration(columns, cls, row);
+    tester.begin_iteration(
+        iteration_common_zero_rows(columns, cls.positive, cls.negative, row));
     std::vector<FluxColumn<Scalar, Support>> accepted;
     process_pair_range(columns, row, cls, basis.stoichiometry_rank, 0,
                        cls.pair_count(), std::size_t{1} << 20, is_elementary,

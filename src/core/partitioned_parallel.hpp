@@ -51,11 +51,11 @@
 #include "core/combinatorial_parallel.hpp"
 #include "mpsim/communicator.hpp"
 #include "mpsim/serialize.hpp"
-#include "nullspace/elementarity.hpp"
 #include "nullspace/flux_column.hpp"
 #include "nullspace/iteration.hpp"
 #include "nullspace/problem.hpp"
 #include "nullspace/solver.hpp"
+#include "nullspace/sparse_rank.hpp"
 #include "nullspace/stats.hpp"
 #include "obs/obs.hpp"
 #include "support/assert.hpp"
@@ -80,10 +80,9 @@ ParallelSolveResult<Scalar, Support> solve_partitioned_parallel(
     SolveStats& stats = result.stats;
     auto basis = compute_initial_basis<Scalar, Support>(
         prepared, solver_options.ordering, solver_options.exclude_rows);
-    Elementarity<Scalar, Support> oracle(prepared.stoichiometry, basis.columns,
-                                         solver_options.rank_backend);
-    auto is_elementary = [&oracle](const Support& support) {
-      return oracle.is_elementary(support);
+    SparseRankTester<Scalar> tester(prepared.stoichiometry, basis.columns);
+    auto is_elementary = [&tester](const Support& support) {
+      return tester.is_elementary(support);
     };
 
     // Shard the initial basis round-robin.
@@ -138,15 +137,16 @@ ParallelSolveResult<Scalar, Support> solve_partitioned_parallel(
 
       // Every candidate support lives inside supp(u) u supp(v) \ {row}
       // for some pairing pair, so the pairing set stages the iteration.
-      oracle.begin_iteration(pairing, pairing_cls, row);
+      tester.begin_iteration(iteration_common_zero_rows(
+          pairing, pairing_cls.positive, pairing_cls.negative, row));
       std::vector<Column> accepted;
       process_pair_range(pairing, row, pairing_cls,
                          basis.stoichiometry_rank, 0,
                          pairing_cls.pair_count(),
                          solver_options.block_ref_cap, is_elementary,
                          iteration, stats.phases, accepted);
-      oracle.drain(iteration);
-      frame.audit_accepted(oracle.exact(), accepted, row);
+      tester.drain_stats(iteration);
+      frame.audit_accepted(accepted, row);
 
       // 4. Global dedup by candidate supports: a candidate produced on two
       // ranks (same support) is kept only by the lowest rank.  Duplicates

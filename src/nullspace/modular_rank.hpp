@@ -13,7 +13,12 @@
 //     divides the specific minor that realises rank(N_S) = |S| - 1; for
 //     the integer matrices arising here that has probability on the order
 //     of 2^-45 per test (documented Monte-Carlo guarantee; the exact
-//     Bareiss backend remains available via SolverOptions).
+//     Bareiss RankTester re-checks accepts under audit and serves as the
+//     tests' reference).
+//
+// The solver's engine (sparse_rank.hpp) embeds this tester as its
+// per-candidate fallback; on its own it is the engine's differential
+// reference.
 //
 // Two equivalent formulations are chosen per candidate by operation count:
 //

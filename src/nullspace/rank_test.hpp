@@ -5,9 +5,10 @@
 // 1.  RankTester is the exact algebraic test via fraction-free elimination
 // (the paper's method; LU/QR/SVD in the original, Bareiss here because
 // arithmetic is exact).  With the CheckedI64 kernel an overflow falls back
-// to BigInt per candidate.  The modular testers (modular_rank.hpp,
-// sparse_rank.hpp) are differentially tested against it; the Elementarity
-// oracle (elementarity.hpp) picks one of the three per solve.
+// to BigInt per candidate.  The solver decides elementarity with the
+// modular engine (sparse_rank.hpp); this tester is the exact reference it
+// and modular_rank.hpp are differentially tested against, and audit mode's
+// re-check of every accepted candidate (check/audit.hpp).
 #pragma once
 
 #include <vector>

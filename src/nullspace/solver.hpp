@@ -10,9 +10,9 @@
 // runs Algorithm 2 per subset with an exclusion set and the Proposition-1
 // filter.  Algorithm 4 (core/partitioned_parallel.hpp) moves its own data
 // but opens and closes every iteration through the same IterationFrame.
-// Every driver decides elementarity with the paper's rank test, staged per
-// iteration by one Elementarity oracle (nullspace/elementarity.hpp);
-// SolverOptions::rank_backend picks only its arithmetic.
+// Every driver decides elementarity with the paper's rank test on one
+// engine, SparseRankTester (nullspace/sparse_rank.hpp), staged once per
+// iteration; the exact Bareiss RankTester exists only under audit.
 #pragma once
 
 #include <functional>
@@ -20,12 +20,13 @@
 #include <vector>
 
 #include "check/check.hpp"
-#include "nullspace/elementarity.hpp"
 #include "nullspace/initial_basis.hpp"
 #include "nullspace/iteration.hpp"
 #include "nullspace/pairgen.hpp"
 #include "nullspace/problem.hpp"
+#include "nullspace/rank_test.hpp"
 #include "nullspace/reversible_split.hpp"
+#include "nullspace/sparse_rank.hpp"
 #include "nullspace/spill.hpp"
 #include "nullspace/stats.hpp"
 #include "obs/obs.hpp"
@@ -40,7 +41,6 @@ namespace elmo {
 
 struct SolverOptions {
   OrderingOptions ordering;
-  RankTestBackend rank_backend = RankTestBackend::kSparse;
   /// Candidate refs held in memory at once (bounded-memory blocking of the
   /// candidate stream); the default caps transient usage around 100 MB.
   std::size_t block_ref_cap = std::size_t{1} << 21;
@@ -100,6 +100,7 @@ class IterationFrame {
       : stoichiometry_(stoichiometry), options_(options), stats_(stats),
         leader_(leader), charge_(std::move(charge)) {
     stats_.keep_history = options_.record_history && leader_;
+    if (options_.audit) exact_.emplace(stoichiometry_);
   }
 
   /// Charge the starting matrix: `columns` seeds peak_columns; the governor
@@ -125,13 +126,12 @@ class IterationFrame {
   }
 
   /// rank-nullity audit: re-verify the candidates this rank accepted with
-  /// the exact Bareiss backend, independent of the (possibly Monte-Carlo
-  /// modular) test that accepted them.
-  void audit_accepted(RankTester<Scalar>& exact, const Columns& accepted,
-                      std::size_t row) const {
-    if (!options_.audit) return;
+  /// the exact Bareiss tester, independent of the modular engine (whose
+  /// rejects are Monte-Carlo) that accepted them.
+  void audit_accepted(const Columns& accepted, std::size_t row) {
+    if (!exact_) return;
     check::InvariantAuditor{}.check_rank_nullity(
-        exact, accepted, "nullspace row " + std::to_string(row));
+        *exact_, accepted, "nullspace row " + std::to_string(row));
   }
 
   /// Close the iteration: charge `resident_bytes` (governor lease, peak,
@@ -173,6 +173,7 @@ class IterationFrame {
   SolveStats& stats_;
   bool leader_;
   std::function<void(std::size_t)> charge_;
+  std::optional<RankTester<Scalar>> exact_;  // built only under audit
   resource::MemoryLease matrix_lease_{resource::Subsystem::kMatrix};
 };
 
@@ -279,18 +280,16 @@ SolveResult<Scalar, Support> solve_nullspace(
   const bool leader = part.rank == 0;
   auto basis = compute_initial_basis<Scalar, Support>(
       problem, options.ordering, options.exclude_rows);
-  // One oracle per worker: testers carry scratch buffers and warm caches
+  // One tester per worker: testers carry scratch buffers and warm caches
   // and are not shareable across threads.
   const auto workers = static_cast<std::size_t>(std::max(part.workers, 1));
-  std::vector<Elementarity<Scalar, Support>> oracles;
-  oracles.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    oracles.emplace_back(problem.stoichiometry, basis.columns,
-                         options.rank_backend);
-  }
-  auto make_test = [&oracles](std::size_t worker) {
-    return [&oracles, worker](const Support& support) {
-      return oracles[worker].is_elementary(support);
+  std::vector<SparseRankTester<Scalar>> testers;
+  testers.reserve(workers);
+  for (std::size_t w = 0; w < workers; ++w)
+    testers.emplace_back(problem.stoichiometry, basis.columns);
+  auto make_test = [&testers](std::size_t worker) {
+    return [&testers, worker](const Support& support) {
+      return testers[worker].is_elementary(support);
     };
   };
   std::optional<ThreadPool> pool;
@@ -310,9 +309,11 @@ SolveResult<Scalar, Support> solve_nullspace(
     auto cls = classify_row(columns, row);
     iteration.positives = cls.positive.size();
     iteration.negatives = cls.negative.size();
-    // The matrix is replicated, so every worker's oracle stages the same
+    // The matrix is replicated, so every worker's tester stages the same
     // iteration.
-    for (auto& oracle : oracles) oracle.begin_iteration(columns, cls, row);
+    const auto common_rows = iteration_common_zero_rows(
+        columns, cls.positive, cls.negative, row);
+    for (auto& tester : testers) tester.begin_iteration(common_rows);
 
     // GenerateEFMCands + Sort&RemoveDuplicates + the per-candidate
     // elementarity test over this rank's contiguous pair slice (the whole
@@ -337,9 +338,9 @@ SolveResult<Scalar, Support> solve_nullspace(
                               " B charged",
                           0, governor.limit());
     }
-    for (auto& oracle : oracles) oracle.drain(iteration);
+    for (auto& tester : testers) tester.drain_stats(iteration);
     candidate_lease.set(matrix_storage_bytes(candidates));
-    frame.audit_accepted(oracles[0].exact(), candidates, row);
+    frame.audit_accepted(candidates, row);
 
     // Communicate&Merge: the exchange swaps this rank's accepted slice for
     // the world's deduplicated set.  Without one the set is the solver's

@@ -34,8 +34,7 @@ struct IterationStats {
   /// iteration ran fully in memory).
   std::uint64_t spilled_bytes = 0;
   /// Sparse rank-test engine counters (nullspace/sparse_rank.hpp), drained
-  /// from the tester once per iteration.  All zero under the dense-modular
-  /// and exact backends.
+  /// from each driver's engine once per iteration.
   std::uint64_t rank_sparse_hits = 0;       // tests served by sparse paths
   std::uint64_t rank_warmstart_reuses = 0;  // tests reusing the warm cache
   std::uint64_t rank_dense_fallbacks = 0;   // tests delegated to dense

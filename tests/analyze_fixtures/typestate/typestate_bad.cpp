@@ -1,7 +1,7 @@
 // Seeded violations for the typestate pass.  Never compiled — only
 // analyzed.  The type names match the tracked machines (SpillFile,
-// MemoryLease, SparseRankTester, Elementarity, Watchdog, the checkpoint free
-// functions); the bodies walk each machine into a bad state.
+// MemoryLease, SparseRankTester, Watchdog, the checkpoint free functions);
+// the bodies walk each machine into a bad state.
 namespace fixture_ts {
 
 struct SpillFile {
@@ -19,11 +19,6 @@ struct MemoryLease {
 struct SparseRankTester {
   void begin_iteration(int common_rows);
   bool is_elementary(int support) const;
-};
-
-struct Elementarity {
-  void begin_iteration(int row);
-  bool is_elementary(int support);
 };
 
 struct Token {};
@@ -61,11 +56,11 @@ inline bool cold_test(int support) {
   return tester.is_elementary(support);
 }
 
-// warm-test-before-begin on the drivers' oracle: the per-candidate
-// lambda runs after a row loop that never stages an iteration.
+// warm-test-before-begin in the drivers' shape: the per-candidate lambda
+// runs after a row loop that never stages an iteration.
 inline int unstaged_driver(int rows, int support) {
-  Elementarity oracle;
-  auto test = [&](int candidate) { return oracle.is_elementary(candidate); };
+  SparseRankTester tester;
+  auto test = [&](int candidate) { return tester.is_elementary(candidate); };
   int accepted = 0;
   for (int row = 0; row < rows; ++row) accepted += test(support + row);
   return accepted;

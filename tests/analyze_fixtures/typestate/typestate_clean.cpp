@@ -24,11 +24,6 @@ struct SparseRankTester {
   bool is_elementary(int support) const;
 };
 
-struct Elementarity {
-  void begin_iteration(int row);
-  bool is_elementary(int support);
-};
-
 struct Token {};
 struct Watchdog {
   static Watchdog& global();
@@ -72,11 +67,11 @@ inline bool lane_tests(int support, int common_rows) {
 // The solver drivers' shape: the per-candidate lambda is defined before
 // the row loop and runs only after each iteration is staged.
 inline int staged_driver(int rows, int support) {
-  Elementarity oracle;
-  auto test = [&](int candidate) { return oracle.is_elementary(candidate); };
+  SparseRankTester tester;
+  auto test = [&](int candidate) { return tester.is_elementary(candidate); };
   int accepted = 0;
   for (int row = 0; row < rows; ++row) {
-    oracle.begin_iteration(row);
+    tester.begin_iteration(row);
     accepted += test(support + row);
   }
   return accepted;

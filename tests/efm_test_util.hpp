@@ -1,6 +1,7 @@
 // Shared helpers for EFM test suites: expansion to the original reaction
-// space, canonicalisation, and the invariant battery every EFM set must
-// satisfy.
+// space, canonicalisation, the invariant battery every EFM set must
+// satisfy, and an exhaustive ground-truth EFM set that never runs the
+// solver.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -11,7 +12,11 @@
 #include <vector>
 
 #include "bigint/bigint.hpp"
+#include "bigint/checked.hpp"
+#include "bigint/rational.hpp"
 #include "compress/compression.hpp"
+#include "linalg/gauss.hpp"
+#include "linalg/scale.hpp"
 #include "network/network.hpp"
 #include "nullspace/efm.hpp"
 #include "nullspace/flux_column.hpp"
@@ -94,6 +99,62 @@ inline void check_efm_invariants(const Network& network,
           << "support " << a << " strictly inside support " << b;
     }
   }
+}
+
+/// Ground truth by exhaustion, for networks of at most 16 reactions: every
+/// reaction subset S of the UNCOMPRESSED network is an EFM support iff
+/// the exact (Bareiss) nullity of N_S is 1, the kernel vector of N_S has
+/// full support on S, and one orientation of it respects irreversibility.
+/// No compression, ordering, candidate generation or modular arithmetic is
+/// involved.  Canonical and sorted, comparable with
+/// expand_and_canonicalize and EfmResult::modes.
+inline std::vector<std::vector<BigInt>> exhaustive_efms(
+    const Network& network) {
+  const std::size_t q = network.num_reactions();
+  EXPECT_LE(q, 16u) << "the exhaustive oracle enumerates 2^q subsets";
+  if (q > 16) return {};
+  const auto n = network.stoichiometry<CheckedI64>();
+  const auto reversible = network.reversibility();
+  RankTester<CheckedI64> tester(n);
+  std::vector<std::vector<BigInt>> modes;
+  std::vector<std::size_t> columns;
+  for (std::uint32_t mask = 1; mask < (std::uint32_t{1} << q); ++mask) {
+    DynBitset support(q);
+    columns.clear();
+    for (std::size_t j = 0; j < q; ++j) {
+      if ((mask >> j) & 1u) {
+        support.set(j);
+        columns.push_back(j);
+      }
+    }
+    if (!tester.is_elementary(support)) continue;
+    // Nullity 1: the one kernel vector of N_S, as primitive integers.
+    Matrix<BigRational> sub(n.rows(), columns.size());
+    for (std::size_t i = 0; i < n.rows(); ++i)
+      for (std::size_t k = 0; k < columns.size(); ++k)
+        sub(i, k) = BigRational(scalar_to_bigint(n(i, columns[k])));
+    const auto kernel = nullspace_basis(sub).first;
+    std::vector<BigRational> ray(columns.size());
+    for (std::size_t k = 0; k < columns.size(); ++k) ray[k] = kernel(k, 0);
+    const auto flux = to_primitive_integer(ray);
+    bool full_support = true;
+    bool forward = true;
+    bool backward = true;
+    for (std::size_t k = 0; k < columns.size(); ++k) {
+      full_support = full_support && !flux[k].is_zero();
+      if (!reversible[columns[k]]) {
+        forward = forward && flux[k].sign() > 0;
+        backward = backward && flux[k].sign() < 0;
+      }
+    }
+    if (!full_support || (!forward && !backward)) continue;
+    std::vector<BigInt> mode(q, BigInt(0));
+    for (std::size_t k = 0; k < columns.size(); ++k)
+      mode[columns[k]] = forward ? flux[k] : -flux[k];
+    modes.push_back(std::move(mode));
+  }
+  canonicalize_modes(modes, reversible);
+  return modes;
 }
 
 /// Every total_* counter of a solve ledger, by name (gtest prints the map

@@ -1,6 +1,6 @@
 // Cross-algorithm consistency on a real mid-size network (E. coli core,
 // 857 EFMs) and on seeded random networks of a few thousand EFMs: all four
-// algorithms, every rank-test backend, several configurations, one answer.
+// algorithms, audited, several configurations, one answer.
 #include <gtest/gtest.h>
 
 #include "core/api.hpp"
@@ -22,9 +22,9 @@ TEST(CrossAlgorithm, ReferenceSatisfiesInvariants) {
   check_efm_invariants(net, reference().modes);
 }
 
-TEST(CrossAlgorithm, DriverBackendGridMatches) {
-  // Every driver constructs the same elementarity oracle; each (driver,
-  // backend) cell must reproduce the reference set.
+TEST(CrossAlgorithm, DriverGridMatches) {
+  // Every driver decides elementarity with the same engine; each driver,
+  // audited, must reproduce the reference set.
   struct Driver {
     const char* name;
     Algorithm algorithm;
@@ -43,13 +43,10 @@ TEST(CrossAlgorithm, DriverBackendGridMatches) {
     options.algorithm = driver.algorithm;
     options.num_ranks = driver.ranks;
     options.threads_per_rank = driver.threads;
-    for (auto backend : {RankTestBackend::kSparse, RankTestBackend::kModular,
-                         RankTestBackend::kExact}) {
-      options.rank_backend = backend;
-      auto result = compute_efms(models::ecoli_core(), options);
-      EXPECT_EQ(result.modes, reference().modes)
-          << driver.name << " backend " << static_cast<int>(backend);
-    }
+    options.audit = true;
+    EXPECT_EQ(compute_efms(models::ecoli_core(), options).modes,
+              reference().modes)
+        << driver.name;
   }
 }
 
@@ -57,8 +54,8 @@ TEST(CrossAlgorithm, DriverBackendGridMatches) {
 // test once kept a few non-elementary modes (e.g. 240 instead of 238 at
 // seed 1) while the audit, which samples at most 256 columns for support
 // minimality, stayed silent.  So the serial result is held to the
-// exhaustive invariant battery and its pinned count, and every (driver,
-// backend) cell, audited, must reproduce it exactly.
+// exhaustive invariant battery and its pinned count, and every driver,
+// audited, must reproduce it exactly.
 struct ReproducerCase {
   std::uint64_t seed;
   std::size_t modes;
@@ -66,7 +63,7 @@ struct ReproducerCase {
 
 class ReproducerGrid : public ::testing::TestWithParam<ReproducerCase> {};
 
-TEST_P(ReproducerGrid, EveryDriverAndBackendMatchesSerial) {
+TEST_P(ReproducerGrid, EveryDriverMatchesSerial) {
   models::RandomNetworkSpec spec;
   spec.num_metabolites = 8;
   spec.num_extra_reactions = 8;
@@ -85,16 +82,11 @@ TEST_P(ReproducerGrid, EveryDriverAndBackendMatchesSerial) {
       {"combined", Algorithm::kCombined},
   };
   for (const auto& [name, algorithm] : drivers) {
-    for (auto backend : {RankTestBackend::kSparse, RankTestBackend::kModular,
-                         RankTestBackend::kExact}) {
-      EfmOptions options;
-      options.algorithm = algorithm;
-      options.num_ranks = algorithm == Algorithm::kSerial ? 1 : 2;
-      options.rank_backend = backend;
-      options.audit = true;
-      EXPECT_EQ(compute_efms(net, options).modes, serial.modes)
-          << name << " backend " << static_cast<int>(backend);
-    }
+    EfmOptions options;
+    options.algorithm = algorithm;
+    options.num_ranks = algorithm == Algorithm::kSerial ? 1 : 2;
+    options.audit = true;
+    EXPECT_EQ(compute_efms(net, options).modes, serial.modes) << name;
   }
 }
 

@@ -70,7 +70,7 @@ TEST_P(RankCountTest, PairCountIndependentOfRanks) {
 
 INSTANTIATE_TEST_SUITE_P(Ranks, RankCountTest, ::testing::Values(1, 2, 3, 4, 7, 16));
 
-TEST(ParallelSolver, RandomNetworksAgreeWithSerial) {
+TEST(ParallelSolver, RandomNetworksMatchExhaustiveOracle) {
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     models::RandomNetworkSpec spec;
     spec.seed = seed;
@@ -79,23 +79,20 @@ TEST(ParallelSolver, RandomNetworksAgreeWithSerial) {
     Network net = models::random_network(spec);
     auto compressed = compress(net);
     auto problem = to_problem<CheckedI64>(compressed);
-    SolverOptions exact;
-    exact.rank_backend = RankTestBackend::kExact;
-    auto serial = expand_and_canonicalize(
-        solve_efms<CheckedI64, Bitset64>(problem, exact).columns, compressed,
-        net);
-    for (auto backend : {RankTestBackend::kSparse, RankTestBackend::kModular,
-                         RankTestBackend::kExact}) {
-      ParallelOptions options;
-      options.num_ranks = 3;
-      options.solver.rank_backend = backend;
-      auto parallel =
-          solve_combinatorial_parallel<CheckedI64, Bitset64>(problem, options);
-      EXPECT_EQ(expand_and_canonicalize(parallel.columns, compressed, net),
-                serial)
-          << "seed " << seed << " backend " << static_cast<int>(backend);
-      expect_totals_are_rank_sums(parallel.stats, parallel.per_rank);
-    }
+    const auto truth = exhaustive_efms(net);
+    EXPECT_EQ(expand_and_canonicalize(
+                  solve_efms<CheckedI64, Bitset64>(problem).columns,
+                  compressed, net),
+              truth)
+        << "seed " << seed << " serial";
+    ParallelOptions options;
+    options.num_ranks = 3;
+    auto parallel =
+        solve_combinatorial_parallel<CheckedI64, Bitset64>(problem, options);
+    EXPECT_EQ(expand_and_canonicalize(parallel.columns, compressed, net),
+              truth)
+        << "seed " << seed << " 3 ranks";
+    expect_totals_are_rank_sums(parallel.stats, parallel.per_rank);
   }
 }
 

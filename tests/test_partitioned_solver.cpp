@@ -63,7 +63,7 @@ TEST(PartitionedSolver, PairCountMatchesSerial) {
   EXPECT_EQ(result.stats.peak_columns, serial.stats.peak_columns);
 }
 
-TEST(PartitionedSolver, RandomNetworksAgreeWithSerial) {
+TEST(PartitionedSolver, RandomNetworksMatchExhaustiveOracle) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     models::RandomNetworkSpec spec;
     spec.seed = seed * 7 + 2;
@@ -72,22 +72,14 @@ TEST(PartitionedSolver, RandomNetworksAgreeWithSerial) {
     Network net = models::random_network(spec);
     auto compressed = compress(net);
     auto problem = to_problem<CheckedI64>(compressed);
-    SolverOptions exact;
-    exact.rank_backend = RankTestBackend::kExact;
-    auto serial = canonical(
-        solve_efms<CheckedI64, Bitset64>(problem, exact).columns, compressed,
-        net);
-    for (auto backend : {RankTestBackend::kSparse, RankTestBackend::kModular,
-                         RankTestBackend::kExact}) {
-      ParallelOptions options;
-      options.num_ranks = 3;
-      options.solver.rank_backend = backend;
-      auto result =
-          solve_partitioned_parallel<CheckedI64, Bitset64>(problem, options);
-      EXPECT_EQ(canonical(result.columns, compressed, net), serial)
-          << "seed " << spec.seed << " backend " << static_cast<int>(backend);
-      expect_totals_are_rank_sums(result.stats, result.per_rank);
-    }
+    ParallelOptions options;
+    options.num_ranks = 3;
+    auto result =
+        solve_partitioned_parallel<CheckedI64, Bitset64>(problem, options);
+    EXPECT_EQ(canonical(result.columns, compressed, net),
+              exhaustive_efms(net))
+        << "seed " << spec.seed;
+    expect_totals_are_rank_sums(result.stats, result.per_rank);
   }
 }
 

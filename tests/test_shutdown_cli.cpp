@@ -8,7 +8,8 @@
 // soon as the first subset commits, and retries a few times if the run
 // still wins the race.  A run that completes cleanly is verified against
 // the baseline instead, so every outcome is checked.  The same harness
-// checks that integer flags reject values a C int cannot hold.
+// checks that integer flags reject values a C int cannot hold and that the
+// a-priori estimate resolves --partition names the way the solver does.
 #include <gtest/gtest.h>
 
 #include <signal.h>
@@ -24,6 +25,7 @@
 #include <vector>
 
 #include "core/checkpoint.hpp"
+#include "obs/json.hpp"
 #include "resource/shutdown.hpp"
 
 namespace elmo {
@@ -163,6 +165,53 @@ TEST(ShutdownCli, IntegerFlagsAboveIntMaxAreRejected) {
   EXPECT_EQ(run_cli({"--builtin", "toy", "--algorithm", "combined",
                      "--ranks", "2", "--retries", "2147483647"}),
             0);
+}
+
+TEST(CliEstimate, MergedPartitionReactionEstimatesLikeItsRepresentative) {
+  // Compression merges ecoli's TPI into FBA, so --partition TPI splits the
+  // solve on FBA's reduced column.  The a-priori estimate behind the
+  // report's flow accounting and the progress ETA must split on that same
+  // column, not fall back to the whole-problem estimate.
+  struct Estimate {
+    double pairs = 0.0;
+    std::uint64_t total_iterations = 0;
+  };
+  const std::string dir = ::testing::TempDir();
+  auto estimate_for = [&dir](const std::string& reaction) {
+    const std::string report = dir + "elmo_est_" + reaction + ".json";
+    const std::string heartbeat = dir + "elmo_est_" + reaction + ".jsonl";
+    std::remove(report.c_str());
+    std::remove(heartbeat.c_str());
+    Estimate out;
+    EXPECT_EQ(run_cli({"--builtin", "ecoli", "--algorithm", "combined",
+                       "--ranks", "2", "--partition", reaction, "--report",
+                       report, "--heartbeat", heartbeat, "-o", "/dev/null"}),
+              0);
+    std::string error;
+    const obs::JsonValue doc = obs::parse_json(slurp(report), &error);
+    EXPECT_TRUE(error.empty()) << error;
+    const obs::JsonValue* flow = doc.find("flow");
+    const obs::JsonValue* estimate =
+        flow != nullptr ? flow->find("estimate") : nullptr;
+    const obs::JsonValue* pairs =
+        estimate != nullptr ? estimate->find("estimated_pairs") : nullptr;
+    EXPECT_NE(pairs, nullptr) << "no flow.estimate.estimated_pairs";
+    if (pairs != nullptr) out.pairs = pairs->as_double();
+    std::istringstream lines(slurp(heartbeat));
+    std::string line;
+    while (std::getline(lines, line)) {
+      const obs::JsonValue record = obs::parse_json(line);
+      if (const obs::JsonValue* total = record.find("total_iterations"))
+        out.total_iterations = total->as_uint();
+    }
+    return out;
+  };
+  const Estimate merged = estimate_for("TPI");
+  const Estimate representative = estimate_for("FBA");
+  EXPECT_GT(representative.pairs, 0.0);
+  EXPECT_GT(representative.total_iterations, 0u);
+  EXPECT_EQ(merged.pairs, representative.pairs);
+  EXPECT_EQ(merged.total_iterations, representative.total_iterations);
 }
 
 TEST(ShutdownCli, ResumableExitCodeIsStable) {

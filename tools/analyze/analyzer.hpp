@@ -40,9 +40,8 @@
 //             trace's flow events against the skeleton (rule flow-unseen)
 //   typestate declarative object-protocol machines for SpillFile,
 //             MemoryLease, Watchdog tokens, checkpoint repair-before-
-//             resume and SparseRankTester / Elementarity warm
-//             iterations, with branch-merge and one-level
-//             interprocedural propagation
+//             resume and SparseRankTester warm iterations, with
+//             branch-merge and one-level interprocedural propagation
 //
 // `shared`, `errpath`, `protocol`, `typestate` and the call graph they
 // share live on top of callgraph.hpp; see that header for the

@@ -125,8 +125,8 @@ const RuleDoc kRuleDocs[] = {
     {"typestate:use-after-release",
      "MemoryLease set/charged on a path where release() already ran"},
     {"typestate:warm-test-before-begin",
-     "SparseRankTester or Elementarity oracle warm elementarity test with "
-     "no begin_iteration staged for the current iteration on any path"},
+     "SparseRankTester warm elementarity test with no begin_iteration "
+     "staged for the current iteration on any path"},
     {"typestate:discarded-token",
      "Watchdog::arm result discarded — the temporary Token disarms "
      "immediately"},

@@ -18,10 +18,8 @@
 //   SparseRankTester  begin_iteration must precede the warm elementarity
 //                     tests of each iteration; the next begin_iteration
 //                     invalidates the cached pivots
-//                     (rule warm-test-before-begin)
-//   Elementarity      the drivers' per-candidate oracle wrapping the
-//                     testers: the same staging rule, on the object the
-//                     solver drivers actually hold
+//                     (rule warm-test-before-begin).  Every solver driver
+//                     holds its engine directly, so this covers them all
 //
 // Checking model: per function, tracked locals (declared by type name,
 // `auto x = ...Type...` bindings, containers of the type, and range-for
@@ -90,20 +88,8 @@ constexpr unsigned kWriting = 2;   // SpillFile: append_block happened
 constexpr unsigned kReading = 4;   // SpillFile: for_each_block happened
 constexpr unsigned kActive = 1;    // MemoryLease: holds its charge
 constexpr unsigned kReleased = 2;  // MemoryLease: released
-constexpr unsigned kNoIter = 1;    // rank testers: no iteration staged
-constexpr unsigned kIter = 2;      // rank testers: begin_iteration ran
-
-// SparseRankTester and the Elementarity oracle that wraps it share one
-// protocol: stage the iteration, then test its candidates.
-std::vector<EventDef> staged_test_events() {
-  return {
-      {"begin_iteration", 0, false, kIter, nullptr, nullptr},
-      {"is_elementary", kNoIter, true, 0, "warm-test-before-begin",
-       "runs a warm elementarity test on a path with no begin_iteration for "
-       "the current iteration — stale cached pivots from the previous "
-       "iteration would be reused"},
-  };
-}
+constexpr unsigned kNoIter = 1;    // SparseRankTester: no iteration staged
+constexpr unsigned kIter = 2;      // SparseRankTester: begin_iteration ran
 
 const std::vector<MachineDef>& machines() {
   static const std::vector<MachineDef> kMachines = {
@@ -130,8 +116,16 @@ const std::vector<MachineDef>& machines() {
             "early-release branch merges back into this use"},
            {"release", 0, false, kReleased, nullptr, nullptr},
        }},
-      {"SparseRankTester", "SparseRankTester", kNoIter, staged_test_events()},
-      {"Elementarity", "Elementarity", kNoIter, staged_test_events()},
+      {"SparseRankTester",
+       "SparseRankTester",
+       kNoIter,
+       {
+           {"begin_iteration", 0, false, kIter, nullptr, nullptr},
+           {"is_elementary", kNoIter, true, 0, "warm-test-before-begin",
+            "runs a warm elementarity test on a path with no "
+            "begin_iteration for the current iteration — stale cached "
+            "pivots from the previous iteration would be reused"},
+       }},
   };
   return kMachines;
 }
