@@ -113,7 +113,8 @@ struct EfmOptions {
   std::string resume_from;
 
   /// Progress observer, invoked per iteration (from a worker thread for
-  /// the parallel algorithms).
+  /// the parallel algorithms; under Algorithm 3 from several at once, one
+  /// per running subset).
   std::function<void(const IterationStats&)> on_iteration;
 
   /// Subset observer (Algorithm 3), invoked once per committed subset —

@@ -14,8 +14,10 @@
 // Each rank runs Algorithm 1's loop (solve_nullspace, nullspace/solver.hpp)
 // and passes it a RankPart: its pair slice, its SMP worker count, and the
 // exchange built here from its Communicator — the pair-conservation audit,
-// the all-gather and the cross-rank Sort&RemoveDuplicates.  Everything
-// else an iteration does is the serial solver's code.
+// the all-gather and the cross-rank Sort&RemoveDuplicates.  A one-rank
+// world (Algorithm 3's one-rank groups) exchanges nothing: its exchange is
+// one barrier.  Everything else an iteration does is the serial solver's
+// code.
 #pragma once
 
 #include <optional>
@@ -135,6 +137,16 @@ ParallelSolveResult<Scalar, Support> solve_combinatorial_parallel(
         check::InvariantAuditor{}.check_pair_conservation(
             comm.all_reduce_sum(slice.pairs_probed), cls.pair_count(),
             "solve_combinatorial_parallel row " + std::to_string(slice.row));
+      }
+      if (comm.size() == 1) {
+        // A one-rank group's slice is the whole pair space, deduplicated
+        // before its rank tests as in a serial run: no self-exchange.  One
+        // barrier keeps an operation per iteration for fault triggers,
+        // stragglers, the watchdog's progress counter and abort checks.
+        comm.barrier();
+        IterationStats counts;
+        counts.accepted = candidates.size();
+        return counts;
       }
       // Communicate&Merge: exchange accepted candidates; every rank then
       // rebuilds the identical replicated next matrix.

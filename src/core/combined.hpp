@@ -14,11 +14,24 @@
 //     unprocessed partition row (lines 15-17),
 //   * the zero-flux rows are re-inserted as zeros (lines 18-21).
 //
-// The union over all subsets is the complete EFM set.  When a subset
-// exceeds the per-rank memory budget the optional adaptive re-split adds
-// one more partition reaction to just that subset and recurses — this is
-// precisely what the paper did on Network II, where subsets 1 and 3 of the
-// {R54r, R90r, R60r} split had to be re-split by R22r (Table IV).
+// The union over all subsets is the complete EFM set.
+//
+// Proposition 1 makes the subsets independent, so the driver schedules
+// them over num_ranks ranks instead of running them one after another:
+// a task (one subset attempt) gets max(1, free ranks / queued tasks) ranks
+// when it is dispatched, largest cost hint first when hints exist.  With
+// at least as many subsets as ranks every group has one rank — a one-rank
+// world runs on its task's thread and exchanges nothing — and a single
+// subset gets every rank, Algorithm 2 as the paper runs it.  Results are
+// folded in subset-id order, so nothing depends on which subset finishes
+// first.
+//
+// When a subset exceeds the per-rank memory budget the optional adaptive
+// re-split adds one more partition reaction to just that subset and
+// recurses — this is precisely what the paper did on Network II, where
+// subsets 1 and 3 of the {R54r, R90r, R60r} split had to be re-split by
+// R22r (Table IV).
+//
 // Fault tolerance: each subset is an independent, restartable unit of
 // work.  One classifier (detail::classify_failure) decides what a failed
 // attempt does: re-split, degrade, retry under the RetryPolicy (optionally
@@ -29,10 +42,16 @@
 #pragma once
 
 #include <algorithm>
+#include <condition_variable>
 #include <deque>
+#include <exception>
 #include <functional>
+#include <list>
 #include <map>
+#include <mutex>
+#include <optional>
 #include <string>
+#include <thread>
 
 #include "check/check.hpp"
 #include "core/checkpoint.hpp"
@@ -93,15 +112,16 @@ struct CombinedOptions {
   resource::Deadlines subset_deadlines;
   /// Cost model: predicted candidate pairs (or any monotone cost proxy)
   /// for a subset, called once per queued subset that is not resumed, and
-  /// only when a deadline is set.  Wired by the API layer from
+  /// only when a deadline is set.  The predictions also order dispatch,
+  /// largest first.  Wired by the API layer from
   /// core/estimate.hpp (which cannot be included here — it includes this
   /// header).
   std::function<double(const SubsetSpec&)> subset_cost_hint;
 
   /// Invoked once per committed subset (computed or resumed) with its
-  /// label, EFM count, and wall seconds.  Never throttled — progress
-  /// reporting uses this so even a subset that finishes inside one
-  /// heartbeat interval leaves a record.
+  /// label, EFM count, and wall seconds, on the calling thread, one call
+  /// at a time.  Never throttled — progress reporting uses this so even a
+  /// subset that finishes inside one heartbeat interval leaves a record.
   std::function<void(const std::string&, std::size_t, double)> on_subset;
 };
 
@@ -227,6 +247,7 @@ inline Recovery classify_failure(const std::exception& e) {
 template <typename Scalar, typename Support>
 CombinedResult<Scalar, Support> solve_combined(
     const EfmProblem<Scalar>& problem, const CombinedOptions& options) {
+  ELMO_REQUIRE(options.num_ranks >= 1, "num_ranks must be positive");
   Stopwatch total_watch;
   CombinedResult<Scalar, Support> result;
 
@@ -319,13 +340,13 @@ CombinedResult<Scalar, Support> solve_combined(
   // Estimate-based deadline scaling (Braunstein et al.: predict a subset's
   // demand before committing to it).  A subset's cost is predicted once,
   // when it is queued, and rides on its Task through every retry; subsets
-  // the checkpoint already holds are never predicted.
+  // the checkpoint already holds are never queued, so never predicted.
+  // The estimator runs only for deadlines: ordering alone does not pay for
+  // it.
   bool predict_costs =
       options.subset_cost_hint && options.subset_deadlines.any();
   auto cost_hint = [&](const SubsetSpec& spec) {
-    return predict_costs && !completed.contains(checkpoint_key(spec))
-               ? options.subset_cost_hint(spec)
-               : 0.0;
+    return predict_costs ? options.subset_cost_hint(spec) : 0.0;
   };
 
   // Work queue of subtasks; adaptive re-splitting pushes refined subsets,
@@ -336,21 +357,68 @@ CombinedResult<Scalar, Support> solve_combined(
     /// Retrying after resource exhaustion: apply the degrade ladder
     /// (halve the candidate tile, then spill-always, then serial).
     bool degrade = false;
-    /// Predicted cost (0 = none): scales this subset's deadlines.
+    /// Predicted cost (0 = none): dispatch order and deadline scaling.
     double cost_hint = 0.0;
   };
+  /// A committed subset, folded into the result once every task joined.
+  struct Committed {
+    SubsetReport report;
+    std::vector<FluxColumn<Scalar, Support>> columns;
+  };
   std::deque<Task> queue;
-  std::vector<double> hints;
+  std::vector<Committed> committed;
+
+  // Queue a subset, or commit it at once when the checkpoint holds it:
+  // re-materialise the stored BigInt modes in this run's scalar type
+  // instead of recomputing the subset.
+  auto enqueue = [&](SubsetSpec spec) {
+    auto it = completed.find(checkpoint_key(spec));
+    if (it == completed.end()) {
+      const double hint = cost_hint(spec);
+      queue.push_back(Task{std::move(spec), 1, false, hint});
+      return;
+    }
+    const CheckpointRecord& record = it->second;
+    Committed done;
+    SubsetReport& report = done.report;
+    report.spec = spec;
+    report.label = spec.label(problem.reaction_names);
+    report.num_efms = record.modes.size();
+    report.stats.total_pairs_probed = record.candidate_pairs;
+    report.seconds = record.seconds;
+    report.extra_splits = record.extra_splits;
+    report.attempts = static_cast<std::size_t>(record.attempts);
+    report.resumed = true;
+    note_event("resume", report.label, resumed_counter);
+    for (const auto& mode : record.modes) {
+      std::vector<Scalar> values;
+      values.reserve(mode.size());
+      for (const auto& v : mode)
+        values.push_back(scalar_from_bigint<Scalar>(v));
+      done.columns.push_back(
+          FluxColumn<Scalar, Support>::from_values(std::move(values)));
+    }
+    if (options.solver.audit) {
+      // Checkpointed modes must still honour their subset's zero/nonzero
+      // pattern — guards against stale or corrupted checkpoint files.
+      check::InvariantAuditor{}.check_proposition1(
+          done.columns, spec.pattern, "resumed subset " + report.label);
+    }
+    if (options.on_subset)
+      options.on_subset(report.label, report.num_efms, report.seconds);
+    committed.push_back(std::move(done));
+  };
   for (std::uint64_t id = 0; id < (1ULL << qsub); ++id) {
     SubsetSpec spec;
     for (std::size_t k = 0; k < qsub; ++k)
       spec.pattern.emplace_back(partition_rows[k], (id >> k) & 1);
-    const double hint = cost_hint(spec);
-    if (hint > 0) hints.push_back(hint);
-    queue.push_back(Task{std::move(spec), 1, false, hint});
+    enqueue(std::move(spec));
   }
   // The median initial subset is the unit the configured deadlines budget
   // for; without one, nothing scales and re-split subsets skip prediction.
+  std::vector<double> hints;
+  for (const Task& task : queue)
+    if (task.cost_hint > 0) hints.push_back(task.cost_hint);
   double median_cost_hint = 0.0;
   if (!hints.empty()) {
     std::nth_element(hints.begin(), hints.begin() + hints.size() / 2,
@@ -361,71 +429,33 @@ CombinedResult<Scalar, Support> solve_combined(
 
   const auto max_attempts =
       static_cast<std::size_t>(std::max(1, options.retry.max_attempts));
+  // Attempt shaping: run the last permitted attempt serially — one rank,
+  // no budget, no fault plan — so the ladder always has a clean exit.
+  auto serial_attempt = [&](const Task& task) {
+    return options.retry.serial_final_attempt && task.attempt >= max_attempts &&
+           max_attempts > 1;
+  };
 
-  while (!queue.empty()) {
-    if (resource::shutdown_requested()) {
-      // Cooperative cancellation between subsets: everything solved so far
-      // is already checkpointed, so a --resume run loses nothing committed.
-      note_event("cancelled",
-                 "shutdown requested; " +
-                     std::to_string(result.subsets.size()) +
-                     " subset(s) committed",
-                 cancelled_counter);
-      resource::throw_if_shutdown_requested("combined driver");
-    }
-    Task task = std::move(queue.front());
-    queue.pop_front();
+  // One attempt at one subset on a group of `ranks` ranks.  Runs on the
+  // task's own thread (rank 0 of its world) and reads no driver state that
+  // the scheduler writes.
+  auto run_subset = [&](const Task& task, int ranks) {
     const SubsetSpec& spec = task.spec;
-
-    const auto key = checkpoint_key(spec);
-    if (auto it = completed.find(key); it != completed.end()) {
-      // Recovered from checkpoint: re-materialise the stored BigInt modes
-      // in this run's scalar type instead of recomputing the subset.
-      const CheckpointRecord& record = it->second;
-      SubsetReport report;
-      report.spec = spec;
-      report.label = spec.label(problem.reaction_names);
-      report.num_efms = record.modes.size();
-      report.stats.total_pairs_probed = record.candidate_pairs;
-      report.seconds = record.seconds;
-      report.extra_splits = record.extra_splits;
-      report.attempts = static_cast<std::size_t>(record.attempts);
-      report.resumed = true;
-      note_event("resume", report.label, resumed_counter);
-      std::vector<FluxColumn<Scalar, Support>> restored;
-      for (const auto& mode : record.modes) {
-        std::vector<Scalar> values;
-        values.reserve(mode.size());
-        for (const auto& v : mode)
-          values.push_back(scalar_from_bigint<Scalar>(v));
-        restored.push_back(
-            FluxColumn<Scalar, Support>::from_values(std::move(values)));
-      }
-      if (options.solver.audit) {
-        // Checkpointed modes must still honour their subset's zero/nonzero
-        // pattern — guards against stale or corrupted checkpoint files.
-        check::InvariantAuditor{}.check_proposition1(
-            restored, spec.pattern, "resumed subset " + report.label);
-      }
-      for (auto& column : restored)
-        result.columns.push_back(std::move(column));
-      result.total.merge(report.stats);
-      if (options.on_subset)
-        options.on_subset(report.label, report.num_efms, report.seconds);
-      result.subsets.push_back(std::move(report));
-      continue;
-    }
-
+    Committed done;
+    SubsetReport& report = done.report;
+    report.spec = spec;
+    report.label = spec.label(problem.reaction_names);
+    if (obs::trace() != nullptr)
+      obs::set_current_thread_name("subset " + report.label);
     // One span per subset ATTEMPT (failed attempts get their own spans);
     // the label identifies the subset, Perfetto shows the retry pattern.
     obs::TraceSpan subset_span(
         "subset", "combined",
-        obs::trace() != nullptr ? spec.label(problem.reaction_names)
-                                : std::string());
+        obs::trace() != nullptr ? report.label : std::string());
     Stopwatch subset_watch;
     auto sub = detail::make_subproblem<Scalar>(problem, spec);
     ParallelOptions parallel = {};
-    parallel.num_ranks = options.num_ranks;
+    parallel.num_ranks = ranks;
     parallel.threads_per_rank = options.threads_per_rank;
     parallel.solver = options.solver;
     parallel.solver.exclude_rows = sub.nzf_sub_rows;
@@ -441,12 +471,6 @@ CombinedResult<Scalar, Support> solve_combined(
       parallel.deadlines.soft_seconds *= scale;
       parallel.deadlines.hard_seconds *= scale;
     }
-
-    // Attempt shaping: run the last permitted attempt serially — one rank,
-    // no budget, no fault plan — so the ladder always has a clean exit.
-    const bool serial_attempt = options.retry.serial_final_attempt &&
-                                task.attempt >= max_attempts &&
-                                max_attempts > 1;
     if (task.degrade && task.attempt > 1) {
       // Resource degrade ladder (ResourceError / bad_alloc): each retry
       // halves the candidate tile again; from the second retry on, every
@@ -457,8 +481,7 @@ CombinedResult<Scalar, Support> solve_combined(
       parallel.solver.spill.enabled = true;
       if (task.attempt >= 3) parallel.solver.spill.always = true;
     }
-    if (serial_attempt) {
-      parallel.num_ranks = 1;
+    if (serial_attempt(task)) {
       parallel.threads_per_rank = 1;
       parallel.memory_budget_per_rank = 0;
       parallel.fault_plan = nullptr;
@@ -468,71 +491,17 @@ CombinedResult<Scalar, Support> solve_combined(
       parallel.deadlines = {};
     }
 
-    // Re-split this subset on the next spare reaction (paper Table IV: the
-    // oversized three-reaction subsets gained R22r as a fourth).  Returns
-    // false when the re-split headroom is exhausted — then the retry ladder
-    // takes over.
-    auto try_resplit = [&]() -> bool {
-      const std::size_t depth = spec.pattern.size() - qsub;
-      if (depth >= options.max_extra_splits || depth >= spares.size())
-        return false;
-      const std::size_t extra = spares[depth];
-      note_event("resplit",
-                 spec.label(problem.reaction_names) + " + " +
-                     problem.reaction_names[extra],
-                 resplits_counter);
-      for (bool nz : {false, true}) {
-        SubsetSpec refined = spec;
-        refined.pattern.emplace_back(extra, nz);
-        const double hint = cost_hint(refined);
-        queue.push_front(Task{std::move(refined), 1, false, hint});
-      }
-      return true;
-    };
-    // Re-queue the subset with a bumped attempt count, or exhaust the
-    // ladder.  Only valid inside a catch block (rethrows when
-    // max_attempts == 1).  `degrade` marks the retry as a resource retry so
-    // attempt shaping applies the degrade ladder.
-    auto requeue_or_throw = [&](const std::string& what, bool degrade) {
-      if (task.attempt >= max_attempts) {
-        if (max_attempts > 1)
-          throw RetryExhaustedError(spec.label(problem.reaction_names),
-                                    static_cast<int>(task.attempt), what);
-        throw;
-      }
-      ++result.total_retries;
-      note_event("retry",
-                 spec.label(problem.reaction_names) + ": " + what +
-                     " (attempt " + std::to_string(task.attempt) + ")",
-                 retries_counter);
-      queue.push_back(Task{spec, task.attempt + 1, degrade || task.degrade,
-                           task.cost_hint});
-    };
-
-    ParallelSolveResult<Scalar, Support> solved;
-    try {
-      solved =
-          solve_combinatorial_parallel<Scalar, Support>(sub.problem, parallel);
-    } catch (const std::exception& e) {
-      const detail::Recovery recovery = detail::classify_failure(e);
-      if (!recovery.retry) throw;
-      if (recovery.resplit && try_resplit()) continue;
-      requeue_or_throw(e.what(), recovery.degrade);
-      continue;
-    }
+    auto solved =
+        solve_combinatorial_parallel<Scalar, Support>(sub.problem, parallel);
 
     // Proposition 1: keep columns with nonzero flux in EVERY unprocessed
     // partition row; re-embed into the full reduced space with zeros in
     // the removed columns.
-    SubsetReport report;
-    report.spec = spec;
-    report.label = spec.label(problem.reaction_names);
-    report.stats = solved.stats;
+    report.stats = std::move(solved.stats);
     report.ranks = std::move(solved.ranks);
     report.rank_stats = std::move(solved.per_rank);
     report.extra_splits = spec.pattern.size() - qsub;
     report.attempts = task.attempt;
-    std::vector<FluxColumn<Scalar, Support>> subset_columns;
     for (auto& column : solved.columns) {
       bool keep = true;
       for (std::size_t sub_row : sub.nzf_sub_rows)
@@ -542,7 +511,7 @@ CombinedResult<Scalar, Support> solve_combined(
                                scalar_from_i64<Scalar>(0));
       for (std::size_t j = 0; j < sub.keep.size(); ++j)
         full[sub.keep[j]] = std::move(column.values[j]);
-      subset_columns.push_back(
+      done.columns.push_back(
           FluxColumn<Scalar, Support>::from_values(std::move(full)));
       ++report.num_efms;
     }
@@ -554,13 +523,70 @@ CombinedResult<Scalar, Support> solve_combined(
       // zeros on all removed rows (the filter above and the re-embedding
       // must agree with the subset's defining pattern).
       check::InvariantAuditor{}.check_proposition1(
-          subset_columns, spec.pattern, "subset " + report.label);
+          done.columns, spec.pattern, "subset " + report.label);
     }
+    return done;
+  };
 
+  // Re-split this subset on the next spare reaction (paper Table IV: the
+  // oversized three-reaction subsets gained R22r as a fourth).  Returns
+  // false when the re-split headroom is exhausted — then the retry ladder
+  // takes over.
+  auto try_resplit = [&](const SubsetSpec& spec) -> bool {
+    const std::size_t depth = spec.pattern.size() - qsub;
+    if (depth >= options.max_extra_splits || depth >= spares.size())
+      return false;
+    const std::size_t extra = spares[depth];
+    note_event("resplit",
+               spec.label(problem.reaction_names) + " + " +
+                   problem.reaction_names[extra],
+               resplits_counter);
+    for (bool nz : {false, true}) {
+      SubsetSpec refined = spec;
+      refined.pattern.emplace_back(extra, nz);
+      enqueue(std::move(refined));
+    }
+    return true;
+  };
+  // Re-queue the subset with a bumped attempt count, or exhaust the
+  // ladder.  Only valid inside a catch block (rethrows when
+  // max_attempts == 1).  `degrade` marks the retry as a resource retry so
+  // attempt shaping applies the degrade ladder.
+  auto requeue_or_throw = [&](const Task& task, const std::string& what,
+                              bool degrade) {
+    const std::string label = task.spec.label(problem.reaction_names);
+    if (task.attempt >= max_attempts) {
+      if (max_attempts > 1)
+        throw RetryExhaustedError(label, static_cast<int>(task.attempt),
+                                  what);
+      throw;
+    }
+    ++result.total_retries;
+    note_event("retry",
+               label + ": " + what + " (attempt " +
+                   std::to_string(task.attempt) + ")",
+               retries_counter);
+    queue.push_back(Task{task.spec, task.attempt + 1,
+                         degrade || task.degrade, task.cost_hint});
+  };
+  // A failed attempt is classified once: re-split, re-queue, or throw what
+  // propagates.
+  auto recover = [&](const Task& task, const std::exception_ptr& error) {
+    try {
+      std::rethrow_exception(error);
+    } catch (const std::exception& e) {
+      const detail::Recovery recovery = detail::classify_failure(e);
+      if (!recovery.retry) throw;
+      if (recovery.resplit && try_resplit(task.spec)) return;
+      requeue_or_throw(task, e.what(), recovery.degrade);
+    }
+  };
+  auto commit = [&](Committed done) {
+    const SubsetReport& report = done.report;
     if (!options.checkpoint_path.empty()) {
       CheckpointRecord record;
-      record.pattern = key;
-      record.modes = columns_to_bigint(subset_columns);
+      record.pattern = checkpoint_key(report.spec);
+      record.modes = columns_to_bigint(done.columns);
       record.candidate_pairs = report.stats.total_pairs_probed;
       record.seconds = report.seconds;
       record.extra_splits = report.extra_splits;
@@ -568,14 +594,129 @@ CombinedResult<Scalar, Support> solve_combined(
       append_checkpoint_record(options.checkpoint_path, record);
       note_event("checkpoint", report.label, checkpoints_counter);
     }
-
     subsets_counter.add(1);
-    for (auto& column : subset_columns)
-      result.columns.push_back(std::move(column));
-    result.total.merge(report.stats);
     if (options.on_subset)
       options.on_subset(report.label, report.num_efms, report.seconds);
-    result.subsets.push_back(std::move(report));
+    committed.push_back(std::move(done));
+  };
+
+  // The scheduler.  Each task runs on its own thread with a group of
+  // max(1, free ranks / queued tasks) ranks (one for a serial attempt),
+  // largest cost hint first.  That thread is rank 0 of the task's world,
+  // so the tasks never hold more than num_ranks solver threads.  Outcomes
+  // come back to this thread, which alone touches the queue, the result
+  // and the checkpoint: commits and on_subset calls happen here, one at a
+  // time, as each subset finishes.  After the first error that propagates
+  // nothing more is dispatched; running subsets finish and commit, then
+  // the error is rethrown.
+  struct Outcome {
+    Task task;
+    int ranks = 0;
+    std::list<std::thread>::iterator thread;
+    std::optional<Committed> done;
+    std::exception_ptr error;
+  };
+  std::mutex outcomes_mutex;
+  std::condition_variable outcome_ready;
+  std::vector<Outcome> outcomes;  // guarded by outcomes_mutex
+  std::list<std::thread> running;
+  int free_ranks = options.num_ranks;
+  std::exception_ptr first_error;
+  auto keep_first_error = [&] {
+    if (!first_error) first_error = std::current_exception();
+  };
+  auto dispatch = [&] {
+    while (!first_error && !queue.empty() && free_ranks > 0) {
+      if (resource::shutdown_requested()) {
+        // Cooperative cancellation between subsets: everything committed
+        // is already checkpointed, so a --resume run loses nothing.
+        note_event("cancelled",
+                   "shutdown requested; " +
+                       std::to_string(committed.size()) +
+                       " subset(s) committed",
+                   cancelled_counter);
+        resource::throw_if_shutdown_requested("combined driver");
+      }
+      auto next = std::max_element(
+          queue.begin(), queue.end(), [](const Task& a, const Task& b) {
+            return a.cost_hint < b.cost_hint;
+          });
+      const int share =
+          std::max(1, free_ranks / static_cast<int>(queue.size()));
+      Outcome outcome{std::move(*next), 0, running.emplace(running.end()),
+                      std::nullopt, nullptr};
+      queue.erase(next);
+      outcome.ranks = serial_attempt(outcome.task) ? 1 : share;
+      free_ranks -= outcome.ranks;
+      const auto slot = outcome.thread;
+      try {
+        *slot = std::thread([&, outcome = std::move(outcome)]() mutable {
+          try {
+            outcome.done = run_subset(outcome.task, outcome.ranks);
+          } catch (...) {  // lint:allow(catch-all): classified by recover
+            outcome.error = std::current_exception();
+          }
+          std::lock_guard lock(outcomes_mutex);
+          outcomes.push_back(std::move(outcome));
+          outcome_ready.notify_one();
+        });
+      } catch (...) {  // lint:allow(catch-all): rethrown to the loop below
+        running.erase(slot);
+        throw;
+      }
+    }
+  };
+  while (true) {
+    try {
+      dispatch();
+    } catch (...) {  // lint:allow(catch-all): rethrown after the join
+      keep_first_error();
+    }
+    if (running.empty()) break;
+    std::vector<Outcome> ready;
+    {
+      std::unique_lock lock(outcomes_mutex);
+      outcome_ready.wait(lock, [&] { return !outcomes.empty(); });
+      ready.swap(outcomes);
+    }
+    for (Outcome& outcome : ready) {
+      outcome.thread->join();
+      running.erase(outcome.thread);
+      free_ranks += outcome.ranks;
+      try {
+        if (outcome.error)
+          recover(outcome.task, outcome.error);
+        else
+          commit(std::move(*outcome.done));
+      } catch (...) {  // lint:allow(catch-all): rethrown after the join
+        keep_first_error();
+      }
+    }
+  }
+  if (first_error) std::rethrow_exception(first_error);
+
+  // Fold in subset-id order (the initial subset's id, then each re-split
+  // row's zero/nonzero flag), so the result does not depend on which
+  // subset finished first.
+  auto subset_order = [qsub](const SubsetSpec& spec) {
+    std::pair<std::uint64_t, std::vector<bool>> key;
+    for (std::size_t k = 0; k < spec.pattern.size(); ++k) {
+      if (k < qsub)
+        key.first |= std::uint64_t{spec.pattern[k].second} << k;
+      else
+        key.second.push_back(spec.pattern[k].second);
+    }
+    return key;
+  };
+  std::sort(committed.begin(), committed.end(),
+            [&](const Committed& a, const Committed& b) {
+              return subset_order(a.report.spec) < subset_order(b.report.spec);
+            });
+  for (Committed& done : committed) {
+    for (auto& column : done.columns)
+      result.columns.push_back(std::move(column));
+    result.total.merge(done.report.stats);
+    result.subsets.push_back(std::move(done.report));
   }
 
   if (options.solver.audit) {

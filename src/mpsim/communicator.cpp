@@ -625,55 +625,61 @@ RunReport run_ranks(int num_ranks,
 
   std::vector<std::exception_ptr> errors(
       static_cast<std::size_t>(num_ranks));
+  auto run_rank = [&](int r) {
+    try {
+      body(comms[static_cast<std::size_t>(r)]);
+      std::unique_lock lock(world.mutex);
+      world.mark_exited_locked(r);
+    } catch (const std::bad_alloc&) {
+      // Classify allocation failure so the abort reason (and the
+      // AbortedError cause peers see) names a degradable resource
+      // exhaustion rather than an anonymous bad_alloc escape.  Each
+      // rank writes only its own slot.  analyze:shared-ok
+      errors[static_cast<std::size_t>(r)] =
+          std::make_exception_ptr(ResourceError(
+              "rank " + std::to_string(r) +
+                  ": allocation failed (std::bad_alloc)",
+              0, 0));
+      MpsimMetrics::get().rank_failures.add(1);
+      obs::trace_instant("rank-failure", "mpsim",
+                         "rank " + std::to_string(r) + ": std::bad_alloc");
+      std::unique_lock lock(world.mutex);
+      world.abort_locked(r, "rank " + std::to_string(r) +
+                                ": allocation failed (std::bad_alloc)");
+      world.mark_exited_locked(r);
+    } catch (const std::exception& e) {
+      // analyze:shared-ok — per-rank disjoint slot.
+      errors[static_cast<std::size_t>(r)] = std::current_exception();
+      MpsimMetrics::get().rank_failures.add(1);
+      obs::trace_instant("rank-failure", "mpsim",
+                         "rank " + std::to_string(r) + ": " + e.what());
+      std::unique_lock lock(world.mutex);
+      world.abort_locked(r, e.what());
+      world.mark_exited_locked(r);
+    } catch (...) {
+      // Non-std exception: captured (never swallowed) and recorded on
+      // the obs layer before the world is torn down.  analyze:shared-ok
+      errors[static_cast<std::size_t>(r)] = std::current_exception();
+      MpsimMetrics::get().rank_failures.add(1);
+      obs::trace_instant("rank-failure", "mpsim",
+                         "rank " + std::to_string(r) +
+                             ": non-standard exception");
+      std::unique_lock lock(world.mutex);
+      world.abort_locked(r, "unknown exception");
+      world.mark_exited_locked(r);
+    }
+  };
+  // Rank 0 runs on the calling thread, under the caller's trace track, so
+  // a one-rank world spawns no thread and a world of n ranks holds n.
   std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(num_ranks));
-  for (int r = 0; r < num_ranks; ++r) {
-    threads.emplace_back([&, r] {
+  threads.reserve(static_cast<std::size_t>(num_ranks - 1));
+  for (int r = 1; r < num_ranks; ++r) {
+    threads.emplace_back([&run_rank, r] {
       obs::set_current_thread_name("rank " + std::to_string(r));
-      try {
-        body(comms[static_cast<std::size_t>(r)]);
-        std::unique_lock lock(world.mutex);
-        world.mark_exited_locked(r);
-      } catch (const std::bad_alloc&) {
-        // Classify allocation failure so the abort reason (and the
-        // AbortedError cause peers see) names a degradable resource
-        // exhaustion rather than an anonymous bad_alloc escape.  Each
-        // rank writes only its own slot.  analyze:shared-ok
-        errors[static_cast<std::size_t>(r)] =
-            std::make_exception_ptr(ResourceError(
-                "rank " + std::to_string(r) +
-                    ": allocation failed (std::bad_alloc)",
-                0, 0));
-        MpsimMetrics::get().rank_failures.add(1);
-        obs::trace_instant("rank-failure", "mpsim",
-                           "rank " + std::to_string(r) + ": std::bad_alloc");
-        std::unique_lock lock(world.mutex);
-        world.abort_locked(r, "rank " + std::to_string(r) +
-                                  ": allocation failed (std::bad_alloc)");
-        world.mark_exited_locked(r);
-      } catch (const std::exception& e) {
-        // analyze:shared-ok — per-rank disjoint slot.
-        errors[static_cast<std::size_t>(r)] = std::current_exception();
-        MpsimMetrics::get().rank_failures.add(1);
-        obs::trace_instant("rank-failure", "mpsim",
-                           "rank " + std::to_string(r) + ": " + e.what());
-        std::unique_lock lock(world.mutex);
-        world.abort_locked(r, e.what());
-        world.mark_exited_locked(r);
-      } catch (...) {
-        // Non-std exception: captured (never swallowed) and recorded on
-        // the obs layer before the world is torn down.  analyze:shared-ok
-        errors[static_cast<std::size_t>(r)] = std::current_exception();
-        MpsimMetrics::get().rank_failures.add(1);
-        obs::trace_instant("rank-failure", "mpsim",
-                           "rank " + std::to_string(r) +
-                               ": non-standard exception");
-        std::unique_lock lock(world.mutex);
-        world.abort_locked(r, "unknown exception");
-        world.mark_exited_locked(r);
-      }
+      run_rank(r);
     });
   }
+  run_rank(0);
   for (auto& thread : threads) thread.join();
 
   // Stop supervision before unwinding: disarm blocks until any in-flight

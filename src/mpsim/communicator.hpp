@@ -167,9 +167,10 @@ struct RunReport {
   }
 };
 
-/// Spawn `num_ranks` ranks running `body` and join them.  The first
-/// exception thrown by any rank is rethrown here after all ranks have
-/// stopped (AbortedError from secondary ranks is swallowed).
+/// Run `num_ranks` ranks of `body` and join them: rank 0 on the calling
+/// thread, ranks 1.. on spawned threads (a one-rank world spawns none).
+/// The first exception thrown by any rank is rethrown here after all
+/// ranks have stopped (AbortedError from secondary ranks is swallowed).
 RunReport run_ranks(int num_ranks,
                     const std::function<void(Communicator&)>& body,
                     const RunOptions& options = {});

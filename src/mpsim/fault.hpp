@@ -16,6 +16,10 @@
 // plan threaded through the Algorithm-3 driver models "the cluster loses a
 // node once, mid-run": the fault fires in whichever subset reaches the
 // trigger, the retried attempt finds the trigger exhausted and succeeds.
+// Triggers are keyed by WORLD rank.  Algorithm 3 gives each subset its own
+// world, numbered from 0, so with one-rank groups every subset is rank 0;
+// and its subsets run concurrently, so the counters still fix how many
+// faults fire, but no longer which subset they fire in.
 // Every fault decision is guarded by one mutex (operations are simulated
 // message passing; the lock is not on any hot path) and corruption bytes
 // are drawn from the seeded elmo PRNG, so runs are bit-reproducible.

@@ -105,11 +105,42 @@ struct Span {
   double end;
 };
 
-/// Cross-rank critical path through the iteration DAG: within each subset
-/// window (or the whole run), iterations are aligned by their per-lane
-/// ordinal and the slowest lane's span of every round joins the path.  The
-/// chosen span's nested phase spans attribute the path time; wait-class
-/// spans are reported alongside (they lie inside their enclosing phase).
+/// Union-find over trace lanes: the lanes one simulated world's flows
+/// connect (a message joins its sender's and receiver's lanes, an
+/// all-gather every participant's).
+class LaneGroups {
+ public:
+  explicit LaneGroups(const std::vector<TraceEvent>& events) {
+    std::map<std::uint64_t, std::uint32_t> first_lane;
+    for (const auto& event : events) {
+      if (event.phase != 's' && event.phase != 'f') continue;
+      auto [it, fresh] = first_lane.emplace(event.id, event.tid);
+      if (!fresh) parent_[find(event.tid)] = find(it->second);
+    }
+  }
+  std::uint32_t find(std::uint32_t lane) {
+    auto it = parent_.find(lane);
+    if (it == parent_.end()) return lane;
+    const std::uint32_t root = find(it->second);
+    it->second = root;
+    return root;
+  }
+
+ private:
+  std::map<std::uint32_t, std::uint32_t> parent_;
+};
+
+/// Cross-rank critical path through the iteration DAG.  Each iteration
+/// span belongs to one window: the subset span that contains it on a lane
+/// of its own world (a subset's task thread is rank 0 of its world), else
+/// the latest-starting subset span that contains it, else — no subset
+/// spans — the whole run.  Within a window, iterations are aligned by
+/// their per-lane ordinal and the slowest lane's span of every round joins
+/// the window's path.  The run's path is the longest chain of windows that
+/// follow one another in time: the longest subset path when the subsets
+/// run at once, their sum when they run one after another.  The chosen
+/// spans' nested phase spans attribute the path time; wait-class spans are
+/// reported alongside (they lie inside their enclosing phase).
 void analyze_critical_path(const std::vector<TraceEvent>& events,
                            FlowSummary& out) {
   std::map<std::uint32_t, std::vector<Span>> lanes;
@@ -140,18 +171,80 @@ void analyze_critical_path(const std::vector<TraceEvent>& events,
                      return a.event->ts_us < b.event->ts_us;
                    });
 
-  // Group iteration spans per lane per window; windows are the subset
-  // spans when present (combined), else the whole run.
+  struct Step {
+    std::uint32_t tid;
+    const Span* span;
+  };
   struct Window {
     double start;
     double end;
+    std::uint32_t tid;
+    std::map<std::uint32_t, std::vector<const Span*>> rounds;
+    double path_us = 0.0;
+    std::vector<Step> path;
   };
   std::vector<Window> windows;
   if (subset_spans.empty()) {
-    windows.push_back({first_ts, last_end});
+    windows.push_back({first_ts, last_end, 0, {}, 0.0, {}});
   } else {
     for (const Span& span : subset_spans)
-      windows.push_back({span.event->ts_us, span.end});
+      windows.push_back({span.event->ts_us, span.end, span.event->tid, {},
+                         0.0, {}});
+  }
+
+  LaneGroups groups(events);
+  for (const auto& [tid, spans] : lanes) {
+    for (const Span& span : spans) {
+      if (span.event->name != "iteration") continue;
+      Window* owner = nullptr;
+      for (Window& window : windows) {
+        if (span.event->ts_us < window.start || span.end > window.end)
+          continue;
+        owner = &window;
+        if (subset_spans.empty() ||
+            groups.find(window.tid) == groups.find(tid))
+          break;
+      }
+      if (owner != nullptr) owner->rounds[tid].push_back(&span);
+    }
+  }
+
+  bool any_iteration = false;
+  for (Window& window : windows) {
+    std::size_t max_rounds = 0;
+    for (const auto& [tid, spans] : window.rounds)
+      max_rounds = std::max(max_rounds, spans.size());
+    for (std::size_t k = 0; k < max_rounds; ++k) {
+      const Span* slowest = nullptr;
+      std::uint32_t slowest_tid = 0;
+      for (const auto& [tid, spans] : window.rounds) {
+        if (k >= spans.size()) continue;
+        if (slowest == nullptr ||
+            spans[k]->event->dur_us > slowest->event->dur_us) {
+          slowest = spans[k];
+          slowest_tid = tid;
+        }
+      }
+      any_iteration = true;
+      window.path_us += slowest->event->dur_us;
+      window.path.push_back({slowest_tid, slowest});
+    }
+  }
+
+  // Longest chain of windows, each starting after its predecessor ended.
+  // Windows are sorted by start, so every predecessor comes first.
+  std::vector<double> chain(windows.size(), 0.0);
+  std::vector<std::size_t> before(windows.size(), windows.size());
+  std::size_t last = 0;
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      if (windows[j].end <= windows[i].start && chain[j] > chain[i]) {
+        chain[i] = chain[j];
+        before[i] = j;
+      }
+    }
+    chain[i] += windows[i].path_us;
+    if (chain[i] > chain[last]) last = i;
   }
 
   // Attribution: nested spans of the on-path iteration span on its lane.
@@ -176,39 +269,11 @@ void analyze_critical_path(const std::vector<TraceEvent>& events,
     const double other = chosen.event->dur_us - phase_total;
     if (other > 0.0) out.critical_path_phase_us["other"] += other;
   };
-
-  bool any_iteration = false;
-  for (const Window& window : windows) {
-    // Per-lane iteration spans inside this window, already time-sorted.
-    std::map<std::uint32_t, std::vector<Span>> rounds;
-    std::size_t max_rounds = 0;
-    for (const auto& [tid, spans] : lanes) {
-      for (const Span& span : spans) {
-        if (span.event->name != "iteration") continue;
-        if (span.event->ts_us < window.start || span.end > window.end)
-          continue;
-        rounds[tid].push_back(span);
-      }
-      auto it = rounds.find(tid);
-      if (it != rounds.end())
-        max_rounds = std::max(max_rounds, it->second.size());
-    }
-    for (std::size_t k = 0; k < max_rounds; ++k) {
-      const Span* slowest = nullptr;
-      std::uint32_t slowest_tid = 0;
-      for (const auto& [tid, spans] : rounds) {
-        if (k >= spans.size()) continue;
-        if (slowest == nullptr ||
-            spans[k].event->dur_us > slowest->event->dur_us) {
-          slowest = &spans[k];
-          slowest_tid = tid;
-        }
-      }
-      if (slowest == nullptr) continue;
-      any_iteration = true;
-      out.critical_path_us += slowest->event->dur_us;
+  for (std::size_t i = last; i < windows.size(); i = before[i]) {
+    for (const Step& step : windows[i].path) {
+      out.critical_path_us += step.span->event->dur_us;
       ++out.critical_path_steps;
-      attribute(slowest_tid, *slowest);
+      attribute(step.tid, *step.span);
     }
   }
 

@@ -80,9 +80,11 @@ TEST(FaultTolerance, RankCrashMidRunIsRetried) {
   Network net = models::toy_network();
   auto baseline = compute_efms(net, toy_combined_options());
 
+  // Four subsets on two ranks run as one-rank groups: every world's only
+  // rank is rank 0.
   auto options = toy_combined_options();
   options.fault_plan = std::make_shared<mpsim::FaultPlan>();
-  options.fault_plan->crash_rank(1, /*at_op=*/3, /*times=*/1);
+  options.fault_plan->crash_rank(0, /*at_op=*/3, /*times=*/1);
   options.retry.max_attempts = 2;
   auto result = compute_efms(net, options);
 
@@ -98,10 +100,15 @@ TEST(FaultTolerance, RankCrashMidRunIsRetried) {
 }
 
 TEST(FaultTolerance, CorruptedPayloadIsRetried) {
+  // Two subsets on four ranks: each group has two ranks, so the exchange
+  // carries payloads to corrupt.
   Network net = models::toy_network();
-  auto baseline = compute_efms(net, toy_combined_options());
+  auto clean = toy_combined_options();
+  clean.num_ranks = 4;
+  clean.partition_reactions = {"r8r"};
+  auto baseline = compute_efms(net, clean);
 
-  auto options = toy_combined_options();
+  auto options = clean;
   options.fault_plan = std::make_shared<mpsim::FaultPlan>();
   options.fault_plan->corrupt_payload(0, /*nth_payload=*/0);
   options.retry.max_attempts = 3;
@@ -117,7 +124,7 @@ TEST(FaultTolerance, RetryExhaustionCarriesSubsetContext) {
   auto options = toy_combined_options();
   options.fault_plan = std::make_shared<mpsim::FaultPlan>();
   // Re-arms on every attempt: the subset can never succeed.
-  options.fault_plan->crash_rank(1, 0, /*times=*/1000);
+  options.fault_plan->crash_rank(0, 0, /*times=*/1000);
   options.retry.max_attempts = 2;
   try {
     compute_efms(net, options);
@@ -135,7 +142,7 @@ TEST(FaultTolerance, SerialFinalAttemptDefeatsPersistentCrashes) {
 
   auto options = toy_combined_options();
   options.fault_plan = std::make_shared<mpsim::FaultPlan>();
-  options.fault_plan->crash_rank(1, 0, /*times=*/1000);
+  options.fault_plan->crash_rank(0, 0, /*times=*/1000);
   options.retry.max_attempts = 2;
   options.retry.serial_final_attempt = true;
   auto result = compute_efms(net, options);
@@ -174,7 +181,7 @@ CombinedOptions toy_hinted_options(std::size_t& calls) {
                               .stall_seconds = 600};
   options.retry.max_attempts = 2;
   options.fault_plan = std::make_shared<mpsim::FaultPlan>();
-  options.fault_plan->crash_rank(1, /*at_op=*/3, /*times=*/1);
+  options.fault_plan->crash_rank(0, /*at_op=*/3, /*times=*/1);
   options.subset_cost_hint = [&calls](const SubsetSpec&) {
     ++calls;
     return 1000.0;

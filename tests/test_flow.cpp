@@ -245,6 +245,39 @@ TEST(FlowCriticalPath, SubsetSpansWindowTheRounds) {
   EXPECT_DOUBLE_EQ(flow.critical_path_us, 150.0 + 80.0 + 70.0);
 }
 
+TEST(FlowCriticalPath, OverlappingSubsetsTakeTheLongestPath) {
+  // Two subsets at once.  A runs on lane 1 alone; B's world is lanes 2 and
+  // 3, joined by a gather flow.  Lane 3's first round also lies inside A's
+  // later-starting window: only the flow says it is B's.
+  std::vector<obs::TraceEvent> events;
+  events.push_back(span("subset", "combined", 1, 8.0, 292.0));
+  events.push_back(span("iteration", "solve", 1, 10.0, 100.0));
+  events.push_back(span("gen cand", "phase", 1, 20.0, 30.0));
+  events.push_back(span("iteration", "solve", 1, 120.0, 80.0));
+  events.push_back(span("subset", "combined", 2, 5.0, 395.0));
+  events.push_back(span("iteration", "solve", 2, 10.0, 150.0));
+  events.push_back(span("iteration", "solve", 2, 170.0, 60.0));
+  events.push_back(span("iteration", "solve", 3, 12.0, 90.0));
+  events.push_back(span("iteration", "solve", 3, 175.0, 200.0));
+  events.push_back(span("rank test", "phase", 3, 180.0, 50.0));
+  obs::TraceEvent gather;
+  gather.phase = 's';
+  gather.tid = 3;
+  gather.id = 42;
+  events.push_back(gather);
+  gather.phase = 'f';
+  gather.tid = 2;
+  events.push_back(gather);
+
+  const obs::SolveReport report;
+  const obs::FlowSummary flow = obs::analyze_flow(report, &events);
+  // A's path is 100 + 80; B's is max(150, 90) + max(60, 200).
+  EXPECT_EQ(flow.critical_path_steps, 2u);
+  EXPECT_DOUBLE_EQ(flow.critical_path_us, 150.0 + 200.0);
+  EXPECT_DOUBLE_EQ(flow.critical_path_phase_us.at("rank test"), 50.0);
+  EXPECT_EQ(flow.critical_path_phase_us.count("gen cand"), 0u);
+}
+
 TEST(FlowCriticalPath, DeterministicOnFixedSchedule) {
   const auto events = fixed_schedule();
   const obs::SolveReport report;

@@ -484,7 +484,9 @@ TEST(Watchdog, CombinedSubsetDeadlineIsRecovered) {
   options.retry.max_attempts = 2;
   options.retry.serial_final_attempt = true;
   options.fault_plan = std::make_shared<mpsim::FaultPlan>();
-  options.fault_plan->straggle(1, /*delay_us=*/20'000);
+  // Four subsets on two ranks run as one-rank groups, each its world's
+  // rank 0.
+  options.fault_plan->straggle(0, /*delay_us=*/20'000);
   auto result = compute_efms(net, options);
 
   EXPECT_EQ(result.modes, baseline.modes);
