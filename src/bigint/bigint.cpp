@@ -1,8 +1,10 @@
 #include "bigint/bigint.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <bit>
+#include <charconv>
 #include <limits>
+#include <numeric>
 
 #include "support/assert.hpp"
 #include "support/bytes.hpp"
@@ -12,128 +14,35 @@ namespace elmo {
 
 namespace {
 
+using Limbs = std::vector<std::uint32_t>;
+
 constexpr std::uint64_t kBase = 1ULL << 32;
+constexpr std::uint64_t kMinMagnitude = 1ULL << 63;  // |INT64_MIN|
 
-}  // namespace
-
-BigInt::BigInt(std::int64_t value) {
-  if (value == 0) return;
-  negative_ = value < 0;
-  // Avoid UB negating INT64_MIN: work in unsigned space.
-  std::uint64_t magnitude =
-      negative_ ? ~static_cast<std::uint64_t>(value) + 1
-                : static_cast<std::uint64_t>(value);
-  limbs_.push_back(static_cast<std::uint32_t>(magnitude & 0xffffffffULL));
-  if (magnitude >> 32) {
-    limbs_.push_back(static_cast<std::uint32_t>(magnitude >> 32));
-  }
+/// |value| without the undefined negation of INT64_MIN.
+std::uint64_t magnitude_of(std::int64_t value) {
+  return value < 0 ? ~static_cast<std::uint64_t>(value) + 1
+                   : static_cast<std::uint64_t>(value);
 }
 
-BigInt BigInt::from_string(std::string_view text) {
-  if (text.empty()) throw ParseError("BigInt: empty string");
-  bool negative = false;
-  std::size_t i = 0;
-  if (text[0] == '-' || text[0] == '+') {
-    negative = text[0] == '-';
-    i = 1;
-  }
-  if (i == text.size()) throw ParseError("BigInt: sign without digits");
-  BigInt result;
-  for (; i < text.size(); ++i) {
-    char c = text[i];
-    if (c < '0' || c > '9')
-      throw ParseError("BigInt: invalid digit in '" + std::string(text) + "'");
-    // result = result * 10 + digit, done limb-wise to stay O(n) per digit.
-    std::uint64_t carry = static_cast<std::uint64_t>(c - '0');
-    for (auto& limb : result.limbs_) {
-      std::uint64_t v = static_cast<std::uint64_t>(limb) * 10 + carry;
-      limb = static_cast<std::uint32_t>(v & 0xffffffffULL);
-      carry = v >> 32;
-    }
-    if (carry) result.limbs_.push_back(static_cast<std::uint32_t>(carry));
-  }
-  result.trim();
-  result.negative_ = negative && !result.limbs_.empty();
-  return result;
+/// True iff ±magnitude fits int64.
+bool fits_inline(std::uint64_t magnitude, bool negative) {
+  return magnitude < kMinMagnitude || (negative && magnitude == kMinMagnitude);
 }
 
-bool BigInt::fits_i64() const {
-  if (limbs_.size() < 2) return true;
-  if (limbs_.size() > 2) return false;
-  std::uint64_t magnitude =
-      (static_cast<std::uint64_t>(limbs_[1]) << 32) | limbs_[0];
-  if (negative_) return magnitude <= (1ULL << 63);
-  return magnitude < (1ULL << 63);
+/// ±magnitude as an int64; requires fits_inline(magnitude, negative).
+std::int64_t signed_value(std::uint64_t magnitude, bool negative) {
+  return static_cast<std::int64_t>(negative ? ~magnitude + 1 : magnitude);
 }
 
-std::int64_t BigInt::to_i64() const {
-  if (!fits_i64())
-    throw OverflowError("BigInt::to_i64: value exceeds int64 range");
-  if (limbs_.empty()) return 0;
-  std::uint64_t magnitude = limbs_[0];
-  if (limbs_.size() == 2)
-    magnitude |= static_cast<std::uint64_t>(limbs_[1]) << 32;
-  if (negative_) return static_cast<std::int64_t>(~magnitude + 1);
-  return static_cast<std::int64_t>(magnitude);
+/// The quotient of two inline values stays inline except INT64_MIN / -1.
+bool divides_inline(std::int64_t dividend, std::int64_t divisor) {
+  return divisor != 0 &&
+         !(divisor == -1 &&
+           dividend == std::numeric_limits<std::int64_t>::min());
 }
 
-double BigInt::to_double() const {
-  double value = 0.0;
-  for (auto it = limbs_.rbegin(); it != limbs_.rend(); ++it) {
-    value = value * static_cast<double>(kBase) + static_cast<double>(*it);
-  }
-  return negative_ ? -value : value;
-}
-
-std::string BigInt::to_string() const {
-  if (limbs_.empty()) return "0";
-  // Repeatedly divide the magnitude by 10^9 and emit 9-digit chunks.
-  std::vector<std::uint32_t> magnitude = limbs_;
-  std::string digits;
-  while (!magnitude.empty()) {
-    std::uint64_t remainder = 0;
-    for (std::size_t i = magnitude.size(); i-- > 0;) {
-      std::uint64_t value = (remainder << 32) | magnitude[i];
-      magnitude[i] = static_cast<std::uint32_t>(value / 1000000000ULL);
-      remainder = value % 1000000000ULL;
-    }
-    while (!magnitude.empty() && magnitude.back() == 0) magnitude.pop_back();
-    for (int i = 0; i < 9; ++i) {
-      digits.push_back(static_cast<char>('0' + remainder % 10));
-      remainder /= 10;
-    }
-  }
-  while (digits.size() > 1 && digits.back() == '0') digits.pop_back();
-  if (negative_) digits.push_back('-');
-  std::reverse(digits.begin(), digits.end());
-  return digits;
-}
-
-std::size_t BigInt::bit_length() const {
-  if (limbs_.empty()) return 0;
-  std::size_t bits = (limbs_.size() - 1) * 32;
-  std::uint32_t top = limbs_.back();
-  while (top) {
-    ++bits;
-    top >>= 1;
-  }
-  return bits;
-}
-
-BigInt BigInt::operator-() const {
-  BigInt result = *this;
-  if (!result.limbs_.empty()) result.negative_ = !result.negative_;
-  return result;
-}
-
-BigInt BigInt::abs() const {
-  BigInt result = *this;
-  result.negative_ = false;
-  return result;
-}
-
-int BigInt::compare_magnitude(const std::vector<std::uint32_t>& a,
-                              const std::vector<std::uint32_t>& b) {
+int compare_magnitude(const Limbs& a, const Limbs& b) {
   if (a.size() != b.size()) return a.size() < b.size() ? -1 : 1;
   for (std::size_t i = a.size(); i-- > 0;) {
     if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
@@ -141,8 +50,7 @@ int BigInt::compare_magnitude(const std::vector<std::uint32_t>& a,
   return 0;
 }
 
-void BigInt::add_magnitude(std::vector<std::uint32_t>& acc,
-                           const std::vector<std::uint32_t>& rhs) {
+void add_magnitude(Limbs& acc, const Limbs& rhs) {
   if (acc.size() < rhs.size()) acc.resize(rhs.size(), 0);
   std::uint64_t carry = 0;
   for (std::size_t i = 0; i < acc.size(); ++i) {
@@ -155,8 +63,8 @@ void BigInt::add_magnitude(std::vector<std::uint32_t>& acc,
   if (carry) acc.push_back(static_cast<std::uint32_t>(carry));
 }
 
-void BigInt::sub_magnitude(std::vector<std::uint32_t>& acc,
-                           const std::vector<std::uint32_t>& rhs) {
+/// acc -= rhs, requires |acc| >= |rhs|.
+void sub_magnitude(Limbs& acc, const Limbs& rhs) {
   std::int64_t borrow = 0;
   for (std::size_t i = 0; i < acc.size(); ++i) {
     std::int64_t diff = static_cast<std::int64_t>(acc[i]) - borrow;
@@ -174,8 +82,7 @@ void BigInt::sub_magnitude(std::vector<std::uint32_t>& acc,
   while (!acc.empty() && acc.back() == 0) acc.pop_back();
 }
 
-std::vector<std::uint32_t> BigInt::mul_magnitude(
-    const std::vector<std::uint32_t>& a, const std::vector<std::uint32_t>& b) {
+Limbs mul_magnitude(const Limbs& a, const Limbs& b) {
   if (a.empty() || b.empty()) return {};
   std::vector<std::uint32_t> product(a.size() + b.size(), 0);
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -193,10 +100,9 @@ std::vector<std::uint32_t> BigInt::mul_magnitude(
   return product;
 }
 
-void BigInt::divmod_magnitude(const std::vector<std::uint32_t>& dividend,
-                              const std::vector<std::uint32_t>& divisor,
-                              std::vector<std::uint32_t>& quotient,
-                              std::vector<std::uint32_t>& remainder) {
+/// Knuth Algorithm D on magnitudes; quotient/remainder are outputs.
+void divmod_magnitude(const Limbs& dividend, const Limbs& divisor,
+                      Limbs& quotient, Limbs& remainder) {
   quotient.clear();
   remainder.clear();
   if (compare_magnitude(dividend, divisor) < 0) {
@@ -318,43 +224,170 @@ void BigInt::divmod_magnitude(const std::vector<std::uint32_t>& dividend,
   while (!remainder.empty() && remainder.back() == 0) remainder.pop_back();
 }
 
-void BigInt::trim() {
-  while (!limbs_.empty() && limbs_.back() == 0) limbs_.pop_back();
-  if (limbs_.empty()) negative_ = false;
+}  // namespace
+
+const BigInt::Wide& BigInt::parts(Wide& scratch) const {
+  if (wide_) return *wide_;
+  const std::uint64_t magnitude = magnitude_of(small_);
+  scratch.negative = small_ < 0;
+  scratch.limbs.clear();
+  if (magnitude != 0)
+    scratch.limbs.push_back(
+        static_cast<std::uint32_t>(magnitude & 0xffffffffULL));
+  if (magnitude >> 32)
+    scratch.limbs.push_back(static_cast<std::uint32_t>(magnitude >> 32));
+  return scratch;
 }
 
-BigInt& BigInt::operator+=(const BigInt& rhs) {
-  if (negative_ == rhs.negative_) {
-    add_magnitude(limbs_, rhs.limbs_);
-  } else {
-    int cmp = compare_magnitude(limbs_, rhs.limbs_);
-    if (cmp == 0) {
-      limbs_.clear();
-      negative_ = false;
-    } else if (cmp > 0) {
-      sub_magnitude(limbs_, rhs.limbs_);
-    } else {
-      std::vector<std::uint32_t> tmp = rhs.limbs_;
-      sub_magnitude(tmp, limbs_);
-      limbs_ = std::move(tmp);
-      negative_ = rhs.negative_;
+void BigInt::assign_parts(Wide parts) {
+  Limbs& limbs = parts.limbs;
+  while (!limbs.empty() && limbs.back() == 0) limbs.pop_back();
+  if (limbs.size() <= 2) {
+    std::uint64_t magnitude = limbs.empty() ? 0 : limbs[0];
+    if (limbs.size() == 2)
+      magnitude |= static_cast<std::uint64_t>(limbs[1]) << 32;
+    if (fits_inline(magnitude, parts.negative)) {
+      small_ = signed_value(magnitude, parts.negative);
+      wide_.reset();
+      return;
     }
   }
-  trim();
+  small_ = 0;
+  if (wide_)
+    *wide_ = std::move(parts);
+  else
+    wide_ = std::make_unique<Wide>(std::move(parts));
+}
+
+BigInt BigInt::from_parts(Wide parts) {
+  BigInt result;
+  result.assign_parts(std::move(parts));
+  return result;
+}
+
+BigInt BigInt::from_magnitude(std::uint64_t magnitude, bool negative) {
+  if (fits_inline(magnitude, negative))
+    return BigInt(signed_value(magnitude, negative));
+  return from_parts(
+      Wide{{static_cast<std::uint32_t>(magnitude & 0xffffffffULL),
+            static_cast<std::uint32_t>(magnitude >> 32)},
+           negative});
+}
+
+void BigInt::throw_out_of_i64() {
+  throw OverflowError("BigInt::to_i64: value exceeds int64 range");
+}
+
+BigInt BigInt::from_string(std::string_view text) {
+  if (text.empty()) throw ParseError("BigInt: empty string");
+  bool negative = false;
+  std::size_t i = 0;
+  if (text[0] == '-' || text[0] == '+') {
+    negative = text[0] == '-';
+    i = 1;
+  }
+  if (i == text.size()) throw ParseError("BigInt: sign without digits");
+  Wide parts;
+  parts.negative = negative;
+  for (; i < text.size(); ++i) {
+    char c = text[i];
+    if (c < '0' || c > '9')
+      throw ParseError("BigInt: invalid digit in '" + std::string(text) + "'");
+    // magnitude = magnitude * 10 + digit, done limb-wise to stay O(n) per
+    // digit.
+    std::uint64_t carry = static_cast<std::uint64_t>(c - '0');
+    for (auto& limb : parts.limbs) {
+      std::uint64_t v = static_cast<std::uint64_t>(limb) * 10 + carry;
+      limb = static_cast<std::uint32_t>(v & 0xffffffffULL);
+      carry = v >> 32;
+    }
+    if (carry) parts.limbs.push_back(static_cast<std::uint32_t>(carry));
+  }
+  return from_parts(std::move(parts));
+}
+
+double BigInt::to_double() const {
+  if (!wide_) return static_cast<double>(small_);
+  double value = 0.0;
+  for (auto it = wide_->limbs.rbegin(); it != wide_->limbs.rend(); ++it) {
+    value = value * static_cast<double>(kBase) + static_cast<double>(*it);
+  }
+  return wide_->negative ? -value : value;
+}
+
+std::string BigInt::to_string() const {
+  if (!wide_) {
+    char buffer[24];
+    const auto end = std::to_chars(buffer, buffer + sizeof buffer, small_).ptr;
+    return std::string(buffer, end);
+  }
+  // Repeatedly divide the magnitude by 10^9 and emit 9-digit chunks.
+  Limbs magnitude = wide_->limbs;
+  std::string digits;
+  while (!magnitude.empty()) {
+    std::uint64_t remainder = 0;
+    for (std::size_t i = magnitude.size(); i-- > 0;) {
+      std::uint64_t value = (remainder << 32) | magnitude[i];
+      magnitude[i] = static_cast<std::uint32_t>(value / 1000000000ULL);
+      remainder = value % 1000000000ULL;
+    }
+    while (!magnitude.empty() && magnitude.back() == 0) magnitude.pop_back();
+    for (int i = 0; i < 9; ++i) {
+      digits.push_back(static_cast<char>('0' + remainder % 10));
+      remainder /= 10;
+    }
+  }
+  while (digits.size() > 1 && digits.back() == '0') digits.pop_back();
+  if (wide_->negative) digits.push_back('-');
+  std::reverse(digits.begin(), digits.end());
+  return digits;
+}
+
+std::size_t BigInt::bit_length() const {
+  if (!wide_) return std::bit_width(magnitude_of(small_));
+  return (wide_->limbs.size() - 1) * 32 + std::bit_width(wide_->limbs.back());
+}
+
+BigInt BigInt::operator-() const {
+  if (!wide_) return from_magnitude(magnitude_of(small_), small_ > 0);
+  Wide negated = *wide_;
+  negated.negative = !negated.negative;
+  return from_parts(std::move(negated));
+}
+
+BigInt BigInt::abs() const {
+  if (!wide_) return from_magnitude(magnitude_of(small_), false);
+  Wide magnitude = *wide_;
+  magnitude.negative = false;
+  return from_parts(std::move(magnitude));
+}
+
+BigInt& BigInt::add_wide(const BigInt& rhs, bool subtract) {
+  Wide lhs_scratch;
+  Wide rhs_scratch;
+  Wide acc = parts(lhs_scratch);
+  const Wide& other = rhs.parts(rhs_scratch);
+  const bool other_negative = other.negative != subtract;
+  if (acc.negative == other_negative) {
+    add_magnitude(acc.limbs, other.limbs);
+  } else if (compare_magnitude(acc.limbs, other.limbs) >= 0) {
+    sub_magnitude(acc.limbs, other.limbs);
+  } else {
+    Limbs difference = other.limbs;
+    sub_magnitude(difference, acc.limbs);
+    acc = Wide{std::move(difference), other_negative};
+  }
+  assign_parts(std::move(acc));
   return *this;
 }
 
-BigInt& BigInt::operator-=(const BigInt& rhs) {
-  // a - b == a + (-b); avoid a temporary by toggling sign logic inline.
-  BigInt negated = rhs;
-  if (!negated.limbs_.empty()) negated.negative_ = !negated.negative_;
-  return *this += negated;
-}
-
-BigInt& BigInt::operator*=(const BigInt& rhs) {
-  bool negative = negative_ != rhs.negative_;
-  limbs_ = mul_magnitude(limbs_, rhs.limbs_);
-  negative_ = negative && !limbs_.empty();
+BigInt& BigInt::mul_wide(const BigInt& rhs) {
+  Wide lhs_scratch;
+  Wide rhs_scratch;
+  const Wide& a = parts(lhs_scratch);
+  const Wide& b = rhs.parts(rhs_scratch);
+  assign_parts(
+      Wide{mul_magnitude(a.limbs, b.limbs), a.negative != b.negative});
   return *this;
 }
 
@@ -362,17 +395,30 @@ void BigInt::divmod(const BigInt& dividend, const BigInt& divisor,
                     BigInt& quotient, BigInt& remainder) {
   if (divisor.is_zero())
     throw InvalidArgumentError("BigInt: division by zero");
-  std::vector<std::uint32_t> q;
-  std::vector<std::uint32_t> r;
-  divmod_magnitude(dividend.limbs_, divisor.limbs_, q, r);
-  quotient.limbs_ = std::move(q);
-  quotient.negative_ =
-      (dividend.negative_ != divisor.negative_) && !quotient.limbs_.empty();
-  remainder.limbs_ = std::move(r);
-  remainder.negative_ = dividend.negative_ && !remainder.limbs_.empty();
+  if (!dividend.wide_ && !divisor.wide_ &&
+      divides_inline(dividend.small_, divisor.small_)) {
+    const std::int64_t q = dividend.small_ / divisor.small_;
+    const std::int64_t r = dividend.small_ % divisor.small_;
+    quotient = q;
+    remainder = r;
+    return;
+  }
+  Wide dividend_scratch;
+  Wide divisor_scratch;
+  const Wide& a = dividend.parts(dividend_scratch);
+  const Wide& b = divisor.parts(divisor_scratch);
+  Wide q{{}, a.negative != b.negative};
+  Wide r{{}, a.negative};
+  divmod_magnitude(a.limbs, b.limbs, q.limbs, r.limbs);
+  quotient.assign_parts(std::move(q));
+  remainder.assign_parts(std::move(r));
 }
 
 BigInt& BigInt::operator/=(const BigInt& rhs) {
+  if (!wide_ && !rhs.wide_ && divides_inline(small_, rhs.small_)) {
+    small_ /= rhs.small_;
+    return *this;
+  }
   BigInt quotient;
   BigInt remainder;
   divmod(*this, rhs, quotient, remainder);
@@ -381,6 +427,10 @@ BigInt& BigInt::operator/=(const BigInt& rhs) {
 }
 
 BigInt& BigInt::operator%=(const BigInt& rhs) {
+  if (!wide_ && !rhs.wide_ && divides_inline(small_, rhs.small_)) {
+    small_ %= rhs.small_;
+    return *this;
+  }
   BigInt quotient;
   BigInt remainder;
   divmod(*this, rhs, quotient, remainder);
@@ -388,19 +438,30 @@ BigInt& BigInt::operator%=(const BigInt& rhs) {
   return *this;
 }
 
-std::strong_ordering operator<=>(const BigInt& lhs, const BigInt& rhs) {
-  if (lhs.negative_ != rhs.negative_) {
-    return lhs.negative_ ? std::strong_ordering::less
-                         : std::strong_ordering::greater;
+std::strong_ordering BigInt::compare_wide(const BigInt& lhs,
+                                          const BigInt& rhs) {
+  // A wide value lies outside int64, so beyond every inline value on the
+  // side of its sign.
+  if (!rhs.wide_)
+    return lhs.wide_->negative ? std::strong_ordering::less
+                               : std::strong_ordering::greater;
+  if (!lhs.wide_)
+    return rhs.wide_->negative ? std::strong_ordering::greater
+                               : std::strong_ordering::less;
+  if (lhs.wide_->negative != rhs.wide_->negative) {
+    return lhs.wide_->negative ? std::strong_ordering::less
+                               : std::strong_ordering::greater;
   }
-  int cmp = BigInt::compare_magnitude(lhs.limbs_, rhs.limbs_);
-  if (lhs.negative_) cmp = -cmp;
-  if (cmp < 0) return std::strong_ordering::less;
-  if (cmp > 0) return std::strong_ordering::greater;
-  return std::strong_ordering::equal;
+  int cmp = compare_magnitude(lhs.wide_->limbs, rhs.wide_->limbs);
+  if (lhs.wide_->negative) cmp = -cmp;
+  return cmp <=> 0;
 }
 
 BigInt BigInt::gcd(const BigInt& a, const BigInt& b) {
+  if (!a.wide_ && !b.wide_)
+    return from_magnitude(std::gcd(magnitude_of(a.small_),
+                                   magnitude_of(b.small_)),
+                          false);
   BigInt x = a.abs();
   BigInt y = b.abs();
   while (!y.is_zero()) {
@@ -416,25 +477,45 @@ BigInt BigInt::gcd(const BigInt& a, const BigInt& b) {
 void BigInt::serialize(std::vector<std::uint8_t>& out) const {
   // Header byte: bit 0 = negative; remaining bits unused.  Then a 32-bit
   // limb count and the limbs, least significant first.
-  put_u8(out, negative_ ? 1 : 0);
-  put_u32(out, static_cast<std::uint32_t>(limbs_.size()));
-  for (std::uint32_t limb : limbs_) put_u32(out, limb);
+  if (wide_) {
+    put_u8(out, wide_->negative ? 1 : 0);
+    put_u32(out, static_cast<std::uint32_t>(wide_->limbs.size()));
+    for (std::uint32_t limb : wide_->limbs) put_u32(out, limb);
+    return;
+  }
+  const std::uint64_t magnitude = magnitude_of(small_);
+  const std::uint32_t count = magnitude == 0 ? 0 : (magnitude >> 32 ? 2 : 1);
+  put_u8(out, small_ < 0 ? 1 : 0);
+  put_u32(out, count);
+  if (count >= 1)
+    put_u32(out, static_cast<std::uint32_t>(magnitude & 0xffffffffULL));
+  if (count == 2) put_u32(out, static_cast<std::uint32_t>(magnitude >> 32));
 }
 
 BigInt BigInt::deserialize(const std::uint8_t*& cursor,
                            const std::uint8_t* end) {
-  BigInt value;
   const bool negative = (get_u8(cursor, end) & 1) != 0;
   const std::uint32_t count = get_u32(cursor, end);
-  value.limbs_.reserve(bounded_count(count, cursor, end, 4));
+  if (count <= 2) {
+    std::uint64_t magnitude = 0;
+    for (std::uint32_t i = 0; i < count; ++i)
+      magnitude |= static_cast<std::uint64_t>(get_u32(cursor, end)) << (32 * i);
+    return from_magnitude(magnitude, negative);
+  }
+  Wide parts;
+  parts.negative = negative;
+  parts.limbs.reserve(bounded_count(count, cursor, end, 4));
   for (std::uint32_t i = 0; i < count; ++i)
-    value.limbs_.push_back(get_u32(cursor, end));
-  value.trim();
-  value.negative_ = negative && !value.limbs_.empty();
-  return value;
+    parts.limbs.push_back(get_u32(cursor, end));
+  return from_parts(std::move(parts));
 }
 
 BigInt BigInt::exact_div(const BigInt& divisor) const {
+  if (!wide_ && !divisor.wide_ && divides_inline(small_, divisor.small_)) {
+    ELMO_DCHECK(small_ % divisor.small_ == 0,
+                "exact_div: division was not exact");
+    return BigInt(small_ / divisor.small_);
+  }
   BigInt quotient;
   BigInt remainder;
   divmod(*this, divisor, quotient, remainder);

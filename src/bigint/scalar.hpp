@@ -70,7 +70,8 @@ inline std::string scalar_to_string(const CheckedI64& x) {
 inline std::string scalar_to_string(const BigInt& x) { return x.to_string(); }
 
 /// Heap bytes owned by the scalar beyond its inline size (memory
-/// accounting): none for CheckedI64, the limb buffer for BigInt.
+/// accounting): none for CheckedI64 or an int64-range BigInt, the wide
+/// form's block for a larger BigInt.
 inline std::size_t scalar_heap_bytes(const CheckedI64&) { return 0; }
 inline std::size_t scalar_heap_bytes(const BigInt& x) {
   return x.storage_bytes();

@@ -28,15 +28,17 @@ namespace {
 
 /// Zip mpsim traffic counters with the matching per-rank solver ledgers
 /// into report entries (either side may be shorter; missing data stays 0).
+/// Entry r is numbered `rank_ids[r]` when given (an Algorithm 3 subset's
+/// driver-wide rank ids), else r.
 std::vector<obs::RankEntry> make_rank_entries(
-    const mpsim::RunReport& report,
-    const std::vector<SolveStats>& rank_stats) {
+    const mpsim::RunReport& report, const std::vector<SolveStats>& rank_stats,
+    const std::vector<int>& rank_ids = {}) {
   std::vector<obs::RankEntry> entries;
   const std::size_t n = std::max(report.ranks.size(), rank_stats.size());
   entries.reserve(n);
   for (std::size_t r = 0; r < n; ++r) {
     obs::RankEntry entry;
-    entry.rank = static_cast<int>(r);
+    entry.rank = r < rank_ids.size() ? rank_ids[r] : static_cast<int>(r);
     if (r < report.ranks.size()) {
       const auto& counters = report.ranks[r];
       entry.messages_sent = counters.messages_sent;
@@ -164,7 +166,8 @@ EfmResult run_with(const CompressedProblem& compressed,
         summary.extra_splits = subset.extra_splits;
         summary.attempts = subset.attempts;
         summary.resumed = subset.resumed;
-        summary.ranks = make_rank_entries(subset.ranks, subset.rank_stats);
+        summary.ranks = make_rank_entries(subset.ranks, subset.rank_stats,
+                                          subset.rank_ids);
         result.subsets.push_back(std::move(summary));
         result.message_bytes += subset.ranks.total_bytes_sent();
         result.peak_rank_memory =

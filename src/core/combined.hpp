@@ -159,6 +159,10 @@ struct SubsetReport {
   bool resumed = false;
   /// Each simulated rank's own solver ledger (empty for resumed subsets).
   std::vector<SolveStats> rank_stats;
+  /// The driver-wide ids of the ranks the subset ran on, in world rank
+  /// order (empty for resumed subsets).  Concurrent subsets each number
+  /// their own world from 0; these ids tell their ranks apart.
+  std::vector<int> rank_ids;
 };
 
 template <typename Scalar, typename Support>
@@ -436,15 +440,16 @@ CombinedResult<Scalar, Support> solve_combined(
            max_attempts > 1;
   };
 
-  // One attempt at one subset on a group of `ranks` ranks.  Runs on the
-  // task's own thread (rank 0 of its world) and reads no driver state that
-  // the scheduler writes.
-  auto run_subset = [&](const Task& task, int ranks) {
+  // One attempt at one subset on the group of ranks `rank_ids`.  Runs on
+  // the task's own thread (rank 0 of its world) and reads no driver state
+  // that the scheduler writes.
+  auto run_subset = [&](const Task& task, const std::vector<int>& rank_ids) {
     const SubsetSpec& spec = task.spec;
     Committed done;
     SubsetReport& report = done.report;
     report.spec = spec;
     report.label = spec.label(problem.reaction_names);
+    report.rank_ids = rank_ids;
     if (obs::trace() != nullptr)
       obs::set_current_thread_name("subset " + report.label);
     // One span per subset ATTEMPT (failed attempts get their own spans);
@@ -455,7 +460,7 @@ CombinedResult<Scalar, Support> solve_combined(
     Stopwatch subset_watch;
     auto sub = detail::make_subproblem<Scalar>(problem, spec);
     ParallelOptions parallel = {};
-    parallel.num_ranks = ranks;
+    parallel.num_ranks = static_cast<int>(rank_ids.size());
     parallel.threads_per_rank = options.threads_per_rank;
     parallel.solver = options.solver;
     parallel.solver.exclude_rows = sub.nzf_sub_rows;
@@ -602,7 +607,8 @@ CombinedResult<Scalar, Support> solve_combined(
 
   // The scheduler.  Each task runs on its own thread with a group of
   // max(1, free ranks / queued tasks) ranks (one for a serial attempt),
-  // largest cost hint first.  That thread is rank 0 of the task's world,
+  // largest cost hint first; the group is the lowest free rank ids, which
+  // the subset report keeps.  That thread is rank 0 of the task's world,
   // so the tasks never hold more than num_ranks solver threads.  Outcomes
   // come back to this thread, which alone touches the queue, the result
   // and the checkpoint: commits and on_subset calls happen here, one at a
@@ -611,7 +617,7 @@ CombinedResult<Scalar, Support> solve_combined(
   // the error is rethrown.
   struct Outcome {
     Task task;
-    int ranks = 0;
+    std::vector<int> rank_ids;
     std::list<std::thread>::iterator thread;
     std::optional<Committed> done;
     std::exception_ptr error;
@@ -620,13 +626,17 @@ CombinedResult<Scalar, Support> solve_combined(
   std::condition_variable outcome_ready;
   std::vector<Outcome> outcomes;  // guarded by outcomes_mutex
   std::list<std::thread> running;
-  int free_ranks = options.num_ranks;
+  std::vector<bool> rank_busy(static_cast<std::size_t>(options.num_ranks));
+  auto free_ranks = [&] {
+    return static_cast<int>(
+        std::count(rank_busy.begin(), rank_busy.end(), false));
+  };
   std::exception_ptr first_error;
   auto keep_first_error = [&] {
     if (!first_error) first_error = std::current_exception();
   };
   auto dispatch = [&] {
-    while (!first_error && !queue.empty() && free_ranks > 0) {
+    while (!first_error && !queue.empty() && free_ranks() > 0) {
       if (resource::shutdown_requested()) {
         // Cooperative cancellation between subsets: everything committed
         // is already checkpointed, so a --resume run loses nothing.
@@ -642,17 +652,22 @@ CombinedResult<Scalar, Support> solve_combined(
             return a.cost_hint < b.cost_hint;
           });
       const int share =
-          std::max(1, free_ranks / static_cast<int>(queue.size()));
-      Outcome outcome{std::move(*next), 0, running.emplace(running.end()),
+          std::max(1, free_ranks() / static_cast<int>(queue.size()));
+      Outcome outcome{std::move(*next), {}, running.emplace(running.end()),
                       std::nullopt, nullptr};
       queue.erase(next);
-      outcome.ranks = serial_attempt(outcome.task) ? 1 : share;
-      free_ranks -= outcome.ranks;
+      const int group = serial_attempt(outcome.task) ? 1 : share;
+      for (std::size_t r = 0;
+           static_cast<int>(outcome.rank_ids.size()) < group; ++r) {
+        if (rank_busy[r]) continue;
+        rank_busy[r] = true;
+        outcome.rank_ids.push_back(static_cast<int>(r));
+      }
       const auto slot = outcome.thread;
       try {
         *slot = std::thread([&, outcome = std::move(outcome)]() mutable {
           try {
-            outcome.done = run_subset(outcome.task, outcome.ranks);
+            outcome.done = run_subset(outcome.task, outcome.rank_ids);
           } catch (...) {  // lint:allow(catch-all): classified by recover
             outcome.error = std::current_exception();
           }
@@ -682,7 +697,8 @@ CombinedResult<Scalar, Support> solve_combined(
     for (Outcome& outcome : ready) {
       outcome.thread->join();
       running.erase(outcome.thread);
-      free_ranks += outcome.ranks;
+      for (int r : outcome.rank_ids)
+        rank_busy[static_cast<std::size_t>(r)] = false;
       try {
         if (outcome.error)
           recover(outcome.task, outcome.error);

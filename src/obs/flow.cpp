@@ -45,7 +45,8 @@ double busy_imbalance_pct(const std::vector<double>& busy_us) {
 
 /// The per-rank section.  Top-level rank entries when the run produced
 /// them; otherwise (combined runs report ranks per subset) the subsets'
-/// rank tables are folded together by rank index.
+/// rank tables are folded together by the run-wide rank id, so subsets
+/// that ran at once on different ranks stay apart.
 std::vector<FlowRank> collect_ranks(const SolveReport& report) {
   std::vector<FlowRank> out;
   if (!report.ranks.empty()) {

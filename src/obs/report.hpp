@@ -25,6 +25,8 @@ namespace elmo::obs {
 
 /// One simulated MPI rank's contribution (Algorithms 2-4).
 struct RankEntry {
+  /// The rank's id in the whole run: Algorithm 3's concurrent subsets
+  /// each run a world numbered from 0 on different ranks of the run.
   int rank = 0;
   std::uint64_t messages_sent = 0;
   std::uint64_t messages_received = 0;

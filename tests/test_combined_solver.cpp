@@ -271,6 +271,24 @@ TEST(CombinedScheduler, FourSubsetsOnFourRanksRunConcurrently) {
   EXPECT_GE(probe.peak(), 2u);
 }
 
+TEST(CombinedScheduler, FlowRanksFoldByRunWideRank) {
+  // Four one-rank subsets at once: each world is rank 0 of its own, but
+  // they ran on four different ranks, and the flow section keeps them
+  // apart.
+  EfmOptions options;
+  options.algorithm = Algorithm::kCombined;
+  options.num_ranks = 4;
+  options.qsub = 2;
+  const EfmResult result = compute_efms(models::ecoli_core(), options);
+  ASSERT_EQ(result.subsets.size(), 4u);
+  const obs::SolveReport report = make_solve_report(result, options, "ecoli");
+  ASSERT_EQ(report.flow.ranks.size(), 4u);
+  for (std::size_t r = 0; r < 4; ++r) {
+    EXPECT_EQ(report.flow.ranks[r].rank, static_cast<int>(r));
+    EXPECT_GT(report.flow.ranks[r].busy_us, 0.0) << "rank " << r;
+  }
+}
+
 /// The counts every schedule shares.  With one-rank groups each subset is
 /// solved exactly as on one rank, so the rank tests and duplicates match
 /// too; a wider group dedups across ranks only after its rank tests.
