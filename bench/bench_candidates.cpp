@@ -1,23 +1,21 @@
 // Candidate-generation engine benchmark (BENCH_candidates.json).
 //
-// Measures the tiled/pruned/SIMD engine (nullspace/pairgen.hpp) against
+// Measures the tiled/SIMD engine (nullspace/pairgen.hpp) against
 // the scalar row-major reference (generate_candidate_refs_reference — the
 // pre-engine code path, kept as the differential oracle) over synthetic
 // pair spaces at three support widths, plus the end-to-end cost of the
 // first yeast iterations.  Scenarios isolate the regimes that matter:
 //
-//   *_probe   most pairs fail the OR+popcount pre-test and no column is
-//             individually prunable — the pure kernel (SIMD + tiling),
-//   *_prune   the rank bound is small enough that wide columns are dead on
-//             their own — the popcount prune's regime,
+//   *_probe   every pair fails the OR+popcount pre-test — the pure kernel
+//             (SIMD + tiling),
 //   *_gen     most pairs survive — exact-support emission dominates.
 //
 // --json PATH writes the machine-readable record; --baseline PATH compares
 // the engine-vs-reference speedup per scenario against a previous record
 // and fails (exit 2) on a >10% relative drop (speedups are in-binary
 // ratios, so the gate is portable across machines, unlike raw seconds);
-// --min-speedup X additionally requires the yeast-width pretest scenarios
-// (dyn2_probe, dyn2_prune) to clear X — the ISSUE 4 acceptance bound.
+// --min-speedup X additionally requires the yeast-width pretest scenario
+// (dyn2_probe) to clear X.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -49,7 +47,7 @@ using namespace elmo;
 /// support to exactly that popcount with nonzero values — used by the
 /// *_probe scenarios, where a popcount band lets the rank bound sit between
 /// the largest single support and the smallest pair union, so every pair is
-/// probed and rejected by the pre-test alone (no pruning, no emission).
+/// probed and rejected by the pre-test alone (no emission).
 template <typename Support>
 std::vector<FluxColumn<CheckedI64, Support>> synthetic_columns(
     std::size_t count, std::size_t q, std::uint64_t seed,
@@ -84,7 +82,6 @@ struct PathResult {
   double seconds = 1e300;           // best of reps
   std::uint64_t pairs = 0;
   std::uint64_t survivors = 0;
-  std::uint64_t pruned = 0;
 
   [[nodiscard]] double pairs_per_sec() const {
     return static_cast<double>(pairs) / seconds;
@@ -102,13 +99,12 @@ struct ScenarioResult {
   [[nodiscard]] double speedup() const {
     return reference.seconds / engine.seconds;
   }
-  /// Probe/prune scenarios measure the optimised pre-test paths and their
+  /// Probe scenarios measure the optimised pre-test path and their
   /// speedups are stable multi-x ratios — those are gated.  The *_gen
   /// scenarios are emission-bound (speedup ~1.0-1.2x, allocator-sensitive)
   /// and recorded informationally only.
   [[nodiscard]] bool gated() const {
-    return name.find("_probe") != std::string::npos ||
-           name.find("_prune") != std::string::npos;
+    return name.find("_probe") != std::string::npos;
   }
 };
 
@@ -140,7 +136,6 @@ PathResult run_path(
   if (seconds < best.seconds) best.seconds = seconds;
   best.pairs = stats.pairs_probed;
   best.survivors = stats.pretest_survivors;
-  best.pruned = stats.pairs_pruned;
   return best;
 }
 
@@ -235,33 +230,27 @@ int main(int argc, char** argv) {
   // Widths: 60 reactions (one word), 66 (two words — the yeast reduction),
   // 500 (eight words — genome scale).  Probe scenarios fix every support at
   // popcount 12 (60 for the wide case) and set the rank bound just above
-  // it: no column is individually prunable, yet every pair union misses the
-  // bound, so the run measures the pre-test kernel and nothing else.
-  // Prune scenarios use the spread popcount distribution with a tight
-  // bound (most columns dead on their own); gen scenarios relax the bound
-  // so every pair survives into exact-support emission.
+  // it, as in a solve (no column wider than rank + 1), yet every pair union
+  // misses the bound, so the run measures the pre-test kernel and nothing
+  // else.  Gen scenarios relax the bound so every pair survives into
+  // exact-support emission.
   scenarios.push_back(run_scenario<Bitset64>("b64_probe", 60, 11, reps, 12));
-  scenarios.push_back(run_scenario<Bitset64>("b64_prune", 60, 8, reps));
   scenarios.push_back(run_scenario<Bitset64>("b64_gen", 60, 35, reps));
   scenarios.push_back(run_scenario<DynBitset>("dyn2_probe", 66, 11, reps, 12));
-  scenarios.push_back(run_scenario<DynBitset>("dyn2_prune", 66, 8, reps));
   scenarios.push_back(run_scenario<DynBitset>("dyn2_gen", 66, 35, reps));
   scenarios.push_back(
       run_scenario<DynBitset>("dyn8_probe", 500, 59, reps, 60));
   scenarios.push_back(run_scenario<DynBitset>("dyn8_gen", 500, 125, reps, 60));
 
   Table table({"scenario", "pairs", "engine Mpairs/s", "ref Mpairs/s",
-               "speedup", "pruned %"});
+               "speedup"});
   for (const auto& s : scenarios) {
-    char eng[32], ref[32], sp[32], pr[32];
+    char eng[32], ref[32], sp[32];
     std::snprintf(eng, sizeof eng, "%.1f", mega(s.engine.pairs_per_sec()));
     std::snprintf(ref, sizeof ref, "%.1f",
                   mega(s.reference.pairs_per_sec()));
     std::snprintf(sp, sizeof sp, "%.2fx", s.speedup());
-    std::snprintf(pr, sizeof pr, "%.1f",
-                  100.0 * static_cast<double>(s.engine.pruned) /
-                      static_cast<double>(s.engine.pairs ? s.engine.pairs : 1));
-    table.add_row({s.name, with_commas(s.engine.pairs), eng, ref, sp, pr});
+    table.add_row({s.name, with_commas(s.engine.pairs), eng, ref, sp});
   }
   std::fputs(
       table.render("synthetic 2048-column pair spaces, best of reps").c_str(),
@@ -279,7 +268,7 @@ int main(int argc, char** argv) {
   // Acceptance bound: pretest throughput at the yeast width.
   if (min_speedup > 0.0) {
     for (const auto& s : scenarios) {
-      if (s.name != "dyn2_probe" && s.name != "dyn2_prune") continue;
+      if (s.name != "dyn2_probe") continue;
       const bool ok = s.speedup() >= min_speedup;
       std::printf("min-speedup gate %s: %.2fx (limit %.2fx) -> %s\n",
                   s.name.c_str(), s.speedup(), min_speedup,
@@ -337,7 +326,6 @@ int main(int argc, char** argv) {
     for (const auto& s : scenarios) {
       obs::JsonValue entry = obs::JsonValue::object();
       entry.set("pairs", obs::JsonValue(s.engine.pairs));
-      entry.set("pruned", obs::JsonValue(s.engine.pruned));
       entry.set("survivors", obs::JsonValue(s.engine.survivors));
       obs::JsonValue engine = obs::JsonValue::object();
       engine.set("seconds", obs::JsonValue(s.engine.seconds));

@@ -42,7 +42,7 @@ std::vector<FluxColumn<CheckedI64, Support>> synthetic_columns(
 
 // `reference` selects the pre-engine scalar row-major loop
 // (generate_candidate_refs_reference) so the engine's gain stays measurable
-// in-tree; the default runs the tiled/pruned/SIMD engine (pairgen.hpp).
+// in-tree; the default runs the tiled/SIMD engine (pairgen.hpp).
 template <typename Support>
 void pair_probe_benchmark(benchmark::State& state, std::size_t q,
                           std::size_t rank, bool reference = false) {

@@ -233,7 +233,7 @@ ScenarioResult run_scenario(const std::string& name, const Fixture& fixture,
 
   std::fprintf(stderr,
                "[%s] q=%zu m=%zu k=%zu rank=%zu iters=%zu tests=%zu "
-               "sparse=%llu warm=%llu fallback=%llu nnz=%llu\n",
+               "sparse=%llu warm=%llu nnz=%llu\n",
                name.c_str(), fixture.problem.num_reactions(),
                fixture.problem.num_metabolites(),
                fixture.basis.columns.size(),
@@ -242,8 +242,6 @@ ScenarioResult run_scenario(const std::string& name, const Fixture& fixture,
                static_cast<unsigned long long>(engine.stats().sparse_hits),
                static_cast<unsigned long long>(
                    engine.stats().warmstart_reuses),
-               static_cast<unsigned long long>(
-                   engine.stats().dense_fallbacks),
                static_cast<unsigned long long>(engine.stats().gathered_nnz));
   engine.reset_stats();
 

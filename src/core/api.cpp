@@ -322,7 +322,6 @@ obs::SolveReport make_solve_report(const EfmResult& result,
   report.totals["rank_tests"] = stats.total_rank_tests;
   report.totals["rank_sparse_hits"] = stats.total_rank_sparse_hits;
   report.totals["rank_warmstart_reuses"] = stats.total_rank_warmstart_reuses;
-  report.totals["rank_dense_fallbacks"] = stats.total_rank_dense_fallbacks;
   report.totals["rank_gathered_nnz"] = stats.total_rank_gathered_nnz;
   report.totals["accepted"] = stats.total_accepted;
   report.totals["duplicates_removed"] = stats.total_duplicates_removed;

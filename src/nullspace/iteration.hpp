@@ -20,7 +20,7 @@
 // OR + popcount per pair; pairs failing it are counted but never
 // materialised.  This is what the paper's per-iteration "generated
 // candidate modes" numbers count.  Production traversal runs through the
-// tiled/pruned/SIMD engine in nullspace/pairgen.hpp; the straight scalar
+// tiled/SIMD engine in nullspace/pairgen.hpp; the straight scalar
 // loop is kept here as generate_candidate_refs_reference, the differential
 // oracle the engine is tested against.
 #pragma once
@@ -108,7 +108,7 @@ class FlatSupports {
 /// indices, kept as the differential oracle for the engine in pairgen.hpp
 /// (tests assert both paths produce the same candidate multiset and the
 /// same survivor counts).  Production code calls generate_candidate_refs /
-/// process_pair_range, which run the tiled/pruned/SIMD engine.
+/// process_pair_range, which run the tiled/SIMD engine.
 ///
 /// Generates candidate refs for flattened pair indices starting at
 /// `*cursor` until either the pair range [begin, end) is exhausted or
@@ -204,7 +204,7 @@ void generate_candidate_refs_reference(
   *cursor = p;
 }
 
-/// Generate candidate refs through the tiled/pruned/SIMD engine
+/// Generate candidate refs through the tiled/SIMD engine
 /// (nullspace/pairgen.hpp) for ENGINE indices starting at `*cursor` until
 /// either [begin, end) is exhausted or `out` reaches `ref_cap` entries.
 ///
@@ -213,7 +213,7 @@ void generate_candidate_refs_reference(
 /// partition of [0, pair_count) still covers every pair exactly once, so
 /// rank slicing and pair-count conservation are unaffected.  The candidate
 /// multiset for a full range is identical to the reference (the engine
-/// only reorders the probes and skips provably-dead ones).
+/// only reorders the probes).
 ///
 /// This convenience wrapper builds the lookup tables per call; block loops
 /// should build PairGenTables once and drive a PairGen directly (see

@@ -1,19 +1,12 @@
-// The candidate-generation engine: vectorized, tiled, pruned traversal of
-// the positive x negative pair space (the algorithm's hot loop).
+// The candidate-generation engine: vectorized, tiled traversal of the
+// positive x negative pair space (the algorithm's hot loop).
 //
 // Candidate generation dominates wall-clock on the yeast networks — the
-// paper's Network I run probes 159.6e9 pairs — so this engine composes three
+// paper's Network I run probes 159.6e9 pairs — so this engine composes two
 // optimizations on top of the straight scalar loop (kept as
 // generate_candidate_refs_reference in iteration.hpp, the differential
 // oracle):
 //
-//   pruning     per-column support popcounts are computed once and both
-//               sides are sorted by popcount ascending.  |supp(u) ∪
-//               supp(v)| >= max(|u|,|v|), so a column whose own popcount
-//               exceeds the pre-test bound rank+2 can never survive with
-//               ANY partner: the engine cuts each side to its live prefix
-//               and charges the dead rectangle to the pair counters in
-//               O(1) per stretch instead of probing it.
 //   tiling      negatives are walked in L1-sized tiles; a tile's support
 //               words stay cache-resident across every positive row
 //               instead of re-streaming the whole negative array once per
@@ -23,6 +16,11 @@
 //               counting), selected per build via ELMO_SIMD=auto|avx2|
 //               scalar and verified bit-identical to the scalar kernel by
 //               a differential test.
+//
+// Every pair is probed.  A column is kept only if its support passes the
+// rank test, so no column the solver holds has more than rank + 1 nonzeros
+// and none breaks the rank + 2 pre-test bound on its own: there is nothing
+// to skip without probing.
 //
 // Every support type exposes its words as one span, so the tables and the
 // survivor emission have a single path for Bitset64 and DynBitset; up to
@@ -166,17 +164,17 @@ struct PairGenConfig {
   /// Select the portable scalar kernel even when AVX2 is available
   /// (differential tests compare the two paths bit for bit).
   bool force_scalar = false;
-  /// Negative-tile footprint in bytes; half a typical 32 KiB L1d so the
-  /// tile words, the positive row and the output block coexist.
-  std::size_t tile_bytes = std::size_t{16} * 1024;
 };
+
+/// Negative-tile footprint in bytes; half a typical 32 KiB L1d so the tile
+/// words, the positive row and the output block coexist.
+inline constexpr std::size_t kPairGenTileBytes = std::size_t{16} * 1024;
 
 /// Per-iteration lookup tables shared by every worker generating pairs for
 /// one (columns, row) instance: popcount-sorted flat support arrays for
-/// both sides, the SIMD-interleaved negative mirror, the live (prunable)
-/// prefix bounds, and the sorted existing-zero-column index used for
-/// duplicate suppression.  Built once per iteration per rank; const
-/// thereafter, safe to share across threads.
+/// both sides, the SIMD-interleaved negative mirror, and the sorted
+/// existing-zero-column index used for duplicate suppression.  Built once
+/// per iteration per rank; const thereafter, safe to share across threads.
 template <typename Scalar, typename Support>
 class PairGenTables {
  public:
@@ -196,16 +194,14 @@ class PairGenTables {
                             .support);
     use_simd_ = pairgen_detail::simd_selectable() && !config.force_scalar;
 
-    build_side(columns, positive, pos_col_, pos_pop_, pos_words_);
-    build_side(columns, negative, neg_col_, neg_pop_, neg_words_);
-    live_pos_ = live_prefix(pos_pop_);
-    live_neg_ = live_prefix(neg_pop_);
+    build_side(columns, positive, pos_col_, pos_words_);
+    build_side(columns, negative, neg_col_, neg_words_);
     build_quad();
 
     // Tile geometry: whole negative columns per tile, multiple of the SIMD
     // group width, at least one group.
     std::uint64_t cols =
-        static_cast<std::uint64_t>(config.tile_bytes / (stride_ * 8));
+        static_cast<std::uint64_t>(kPairGenTileBytes / (stride_ * 8));
     cols &= ~std::uint64_t{3};
     tile_cols_ = std::max<std::uint64_t>(cols, 4);
 
@@ -225,7 +221,7 @@ class PairGenTables {
   [[nodiscard]] bool simd_active() const { return use_simd_; }
   /// Existing zero columns sorted by support, for duplicate suppression.
   /// Built on first call (sorting the zero side costs more than probing a
-  /// small pair range, and pure probe/prune passes never need it); the
+  /// small pair range, and pure probe passes never need it); the
   /// once-flag makes concurrent first calls from workers sharing one
   /// tables instance safe.
   [[nodiscard]] const std::vector<const FluxColumn<Scalar, Support>*>&
@@ -248,12 +244,15 @@ class PairGenTables {
   void build_side(const std::vector<FluxColumn<Scalar, Support>>& columns,
                   const std::vector<std::uint32_t>& side,
                   std::vector<std::uint32_t>& col,
-                  std::vector<std::uint16_t>& pop,
                   std::vector<std::uint64_t>& words) {
-    // Sort by (popcount, original column index): the popcount order drives
-    // the prune cut; the index tie-break keeps enumeration deterministic.
-    // Counts are taken once up front — recomputing them inside the
-    // comparator costs more than the sort itself on wide supports.
+    // Sort by (popcount, original column index).  This order is the
+    // engine-index order that Algorithm 2's rank slices and the SMP batches
+    // cut, so it decides which worker meets which duplicate: column order
+    // instead costs ecoli's 4-rank Algorithm 2 solve 3% more rank tests
+    // (4,503 vs 4,369) for the same modes.  The index tie-break keeps
+    // enumeration deterministic.  Counts are taken once up front —
+    // recomputing them inside the comparator costs more than the sort
+    // itself on wide supports.
     std::vector<std::pair<std::uint16_t, std::uint32_t>> keys;
     keys.reserve(side.size());
     for (std::uint32_t c : side) {
@@ -262,24 +261,12 @@ class PairGenTables {
     }
     std::sort(keys.begin(), keys.end());
     col.resize(keys.size());
-    pop.resize(keys.size());
     words.resize(keys.size() * stride_);
     for (std::size_t k = 0; k < keys.size(); ++k) {
       col[k] = keys[k].second;
-      pop[k] = keys[k].first;
       std::ranges::copy(columns[col[k]].support.words(),
                         words.begin() + k * stride_);
     }
-  }
-
-  [[nodiscard]] std::size_t live_prefix(
-      const std::vector<std::uint16_t>& pop) const {
-    // First sorted position whose popcount alone already breaks the union
-    // bound; everything from there on is dead with ANY partner.
-    const auto bound = static_cast<std::uint16_t>(
-        std::min<std::size_t>(max_union_, 0xffff));
-    return static_cast<std::size_t>(
-        std::upper_bound(pop.begin(), pop.end(), bound) - pop.begin());
   }
 
   void build_quad() {
@@ -307,8 +294,6 @@ class PairGenTables {
   std::size_t accept_cap_;  // rank + 1: exact-support acceptance bound
   bool use_simd_ = false;
   std::vector<std::uint32_t> pos_col_, neg_col_;  // sorted -> matrix index
-  std::vector<std::uint16_t> pos_pop_, neg_pop_;
-  std::size_t live_pos_ = 0, live_neg_ = 0;
   std::vector<std::uint64_t> pos_words_, neg_words_;  // row-major, sorted
   std::vector<std::uint64_t> neg_quad_;  // 4-interleaved (AVX2 kernel)
   std::uint64_t tile_cols_ = 4;
@@ -337,61 +322,29 @@ class PairGen {
   /// Generate refs for engine indices from the cursor until the range is
   /// exhausted or `out` reaches `ref_cap` entries (bounded-memory
   /// blocking).  Every consumed index is charged to stats.pairs_probed
-  /// exactly once; indices skipped by the popcount prune are additionally
-  /// counted in stats.pairs_pruned.
+  /// exactly once.
   void generate(std::size_t ref_cap, std::vector<CandidateRef<Support>>& out,
                 IterationStats& stats) {
     const std::uint64_t kP = t_->positives();
     const std::uint64_t kN = t_->negatives();
-    if (kP == 0 || kN == 0) {
-      cursor_ = end_;
-      return;
-    }
     const std::uint64_t kW = t_->tile_cols_;
-    const std::uint64_t live_pos = t_->live_pos_;
-    const std::uint64_t live_neg = t_->live_neg_;
-
     while (cursor_ < end_ && out.size() < ref_cap) {
       const std::uint64_t tile = cursor_ / (kP * kW);
       const std::uint64_t tile_first = tile * kW;  // first sorted negative
       const std::uint64_t width = std::min(kW, kN - tile_first);
       const std::uint64_t base = tile * kP * kW;  // engine index of start
-      const std::uint64_t tile_stop = std::min(end_, base + kP * width);
-
-      if (tile_first >= live_neg) {
-        prune_to(tile_stop, stats);  // the whole tile is dead
-        continue;
-      }
-      const std::uint64_t offset = cursor_ - base;
-      const std::uint64_t i = offset / width;  // sorted positive row
-      if (i >= live_pos) {
-        // Positives are popcount-ascending: every later row in this tile
-        // is dead too.
-        prune_to(tile_stop, stats);
-        continue;
-      }
-      const std::uint64_t live_cols =
-          std::min<std::uint64_t>(width, live_neg - tile_first);
-      generate_row(i, tile_first, width, live_cols, base + i * width,
-                   ref_cap, out, stats);
+      const std::uint64_t i = (cursor_ - base) / width;  // sorted positive row
+      generate_row(i, tile_first, width, base + i * width, ref_cap, out,
+                   stats);
     }
   }
 
  private:
-  /// Bulk-fail every engine index in [cursor_, stop): the popcount bound
-  /// proves the pre-test fails, so the pairs are charged without probing.
-  void prune_to(std::uint64_t stop, IterationStats& stats) {
-    const std::uint64_t skipped = stop - cursor_;
-    stats.pairs_probed += skipped;
-    stats.pairs_pruned += skipped;
-    cursor_ = stop;
-  }
-
   /// Generate the cursor's stretch of row i within the current tile.
   /// `row_base` is the engine index of (i, tile column 0).
   void generate_row(std::uint64_t i, std::uint64_t tile_first,
-                    std::uint64_t width, std::uint64_t live_cols,
-                    std::uint64_t row_base, std::size_t ref_cap,
+                    std::uint64_t width, std::uint64_t row_base,
+                    std::size_t ref_cap,
                     std::vector<CandidateRef<Support>>& out,
                     IterationStats& stats) {
     const std::size_t stride = t_->stride_;
@@ -403,79 +356,69 @@ class PairGen {
     std::uint64_t j = cursor_ - row_base;  // column offset within tile
     // The row stretch may be cut short by the range end.
     const std::uint64_t stretch = std::min(width, end_ - row_base);
-    const std::uint64_t probe_end = std::min(stretch, live_cols);
 
-    if (j < probe_end) {
-      // Charge the whole probe stretch upfront (the loops below never give
-      // an index back); a ref-cap stop refunds the unconsumed tail.
-      stats.pairs_probed += probe_end - j;
+    // Charge the whole stretch upfront (the loops below never give an
+    // index back); a ref-cap stop refunds the unconsumed tail.
+    stats.pairs_probed += stretch - j;
 #if ELMO_PAIRGEN_AVX2
-      if (t_->use_simd_) {
-        while (j < probe_end) {
-          const std::uint64_t j_abs = tile_first + j;
-          if ((j_abs & 3) == 0 && j + 4 <= probe_end) {
-            const unsigned mask = pairgen_detail::group_survivor_mask(
-                pos_row,
-                t_->neg_quad_.data() +
-                    static_cast<std::size_t>(j_abs / 4) * stride * 4,
-                stride, kMaxUnion);
-            if (mask != 0) {
-              // Survivor lanes, in ascending column order.  A ref-cap
-              // stop consumes only the lanes up to the stopping survivor;
-              // the rest of the group is re-probed on resume.
-              for (unsigned rest = mask; rest != 0; rest &= rest - 1) {
-                const std::uint64_t lane =
-                    static_cast<std::uint64_t>(std::countr_zero(rest));
-                ++stats.pretest_survivors;
-                emit(i, j_abs + lane, out);
-                if (out.size() >= ref_cap) {
-                  cursor_ = row_base + j + lane + 1;
-                  stats.pairs_probed -= probe_end - (j + lane + 1);
-                  return;
-                }
+    if (t_->use_simd_) {
+      while (j < stretch) {
+        const std::uint64_t j_abs = tile_first + j;
+        if ((j_abs & 3) == 0 && j + 4 <= stretch) {
+          const unsigned mask = pairgen_detail::group_survivor_mask(
+              pos_row,
+              t_->neg_quad_.data() +
+                  static_cast<std::size_t>(j_abs / 4) * stride * 4,
+              stride, kMaxUnion);
+          if (mask != 0) {
+            // Survivor lanes, in ascending column order.  A ref-cap stop
+            // consumes only the lanes up to the stopping survivor; the
+            // rest of the group is re-probed on resume.
+            for (unsigned rest = mask; rest != 0; rest &= rest - 1) {
+              const std::uint64_t lane =
+                  static_cast<std::uint64_t>(std::countr_zero(rest));
+              ++stats.pretest_survivors;
+              emit(i, j_abs + lane, out);
+              if (out.size() >= ref_cap) {
+                cursor_ = row_base + j + lane + 1;
+                stats.pairs_probed -= stretch - (j + lane + 1);
+                return;
               }
             }
-            j += 4;
-            continue;
           }
-          // Unaligned head / ragged tail: scalar probe.
-          if (scalar_survives(pos_row, j_abs, stride, kMaxUnion)) {
-            ++stats.pretest_survivors;
-            emit(i, j_abs, out);
-            if (out.size() >= ref_cap) {
-              cursor_ = row_base + j + 1;
-              stats.pairs_probed -= probe_end - (j + 1);
-              return;
-            }
-          }
-          ++j;
+          j += 4;
+          continue;
         }
-      } else
+        // Unaligned head / ragged tail: scalar probe.
+        if (scalar_survives(pos_row, j_abs, stride, kMaxUnion)) {
+          ++stats.pretest_survivors;
+          emit(i, j_abs, out);
+          if (out.size() >= ref_cap) {
+            cursor_ = row_base + j + 1;
+            stats.pairs_probed -= stretch - (j + 1);
+            return;
+          }
+        }
+        ++j;
+      }
+    } else
 #endif  // ELMO_PAIRGEN_AVX2
-      {
-        while (j < probe_end) {
-          const std::uint64_t j_abs = tile_first + j;
-          if (scalar_survives(pos_row, j_abs, stride, kMaxUnion)) {
-            ++stats.pretest_survivors;
-            emit(i, j_abs, out);
-            if (out.size() >= ref_cap) {
-              cursor_ = row_base + j + 1;
-              stats.pairs_probed -= probe_end - (j + 1);
-              return;
-            }
+    {
+      while (j < stretch) {
+        const std::uint64_t j_abs = tile_first + j;
+        if (scalar_survives(pos_row, j_abs, stride, kMaxUnion)) {
+          ++stats.pretest_survivors;
+          emit(i, j_abs, out);
+          if (out.size() >= ref_cap) {
+            cursor_ = row_base + j + 1;
+            stats.pairs_probed -= stretch - (j + 1);
+            return;
           }
-          ++j;
         }
+        ++j;
       }
     }
-    // The cursor may already sit inside the dead suffix (resume after a
-    // ref-cap stop); never move it backward.
-    cursor_ = row_base + std::max(j, probe_end);
-    if (cursor_ < row_base + stretch) {
-      // Popcount-dead suffix of the row stretch (negatives are sorted, so
-      // every remaining column in the tile fails the bound).
-      prune_to(row_base + stretch, stats);
-    }
+    cursor_ = row_base + stretch;
   }
 
   [[nodiscard]] bool scalar_survives(const std::uint64_t* pos_row,

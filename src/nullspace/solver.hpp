@@ -202,8 +202,8 @@ struct RankPart {
 /// elementarity test.  The one place an iteration picks its path: SMP
 /// workers share the range in memory; one worker takes the chunked
 /// out-of-core driver whenever the run is governed (chunks hit disk only
-/// when the live headroom says so — a coarse admit() pre-check could not
-/// predict the candidate transient), else the in-memory driver.
+/// when the live headroom says so: the candidate transient cannot be
+/// predicted up front), else the in-memory driver.
 template <typename Scalar, typename Support, typename MakeTest>
 void generate_pair_range(
     const SolverOptions& options,

@@ -36,11 +36,12 @@
 //       answers never depend on cache state.
 //
 // The K-side/N-side choice uses exact gathered-nnz counts from the sparse
-// stores instead of dense dimension products; candidates whose sparse
-// estimate exceeds the dense one by a margin are delegated to an embedded
-// dense-modular tester (counted as rank_dense_fallbacks — `elmo_stat diff`
-// watches that rate).  Accept/reject equals the dense-modular tester's
-// verdict: both compute ranks of the same matrices over the same prime.
+// stores instead of dense dimension products.  Neither estimate can exceed
+// twice the dense tester's (the N side gathers at most rank x d entries
+// over d <= |S| non-pivot columns, the K side at most k entries per
+// complement row), so every candidate is served by a sparse path.
+// Accept/reject equals the dense-modular tester's verdict: both compute
+// ranks of the same matrices over the same prime.
 #pragma once
 
 #include <algorithm>
@@ -65,7 +66,6 @@ struct RankEngineStats {
   std::uint64_t tests = 0;
   std::uint64_t sparse_hits = 0;       // served by the sparse paths
   std::uint64_t warmstart_reuses = 0;  // K-side tests that reused the cache
-  std::uint64_t dense_fallbacks = 0;   // delegated to the dense tester
   std::uint64_t gathered_nnz = 0;      // entries gathered across all tests
 };
 
@@ -75,10 +75,6 @@ enum class RankTestSide { kAuto, kNSide, kKSide };
 
 struct SparseRankConfig {
   RankTestSide force_side = RankTestSide::kAuto;
-  /// Delegate a candidate to the embedded dense-modular tester when the
-  /// sparse estimate exceeds margin x the dense estimate (compaction
-  /// overhead loses on very dense residuals).  Counted per delegation.
-  double dense_fallback_margin = 2.0;
 };
 
 template <typename Scalar>
@@ -94,8 +90,7 @@ class SparseRankTester {
       : config_(config),
         m_(stoichiometry.rows()),
         q_(stoichiometry.cols()),
-        k_(kernel_columns.size()),
-        dense_(stoichiometry, kernel_columns) {
+        k_(kernel_columns.size()) {
     build_rref(stoichiometry);
     kernel_rows_ = SparseCscU64::build(
         k_, q_, [&](std::size_t c, std::size_t r) {
@@ -281,17 +276,6 @@ class SparseRankTester {
     RankTestSide side = config_.force_side;
     if (side == RankTestSide::kAuto) {
       side = est_n <= est_k ? RankTestSide::kNSide : RankTestSide::kKSide;
-      const double sd = static_cast<double>(s);
-      const double md = static_cast<double>(m_);
-      const double td = static_cast<double>(q_ - s);
-      const double kd = static_cast<double>(k_);
-      const double est_dense =
-          std::min(md * sd * (sd + 1.0), td * kd * (kd + 1.0));
-      if (std::min(est_n, est_k) >
-          config_.dense_fallback_margin * est_dense) {
-        ++stats_.dense_fallbacks;
-        return dense_.is_elementary(support);
-      }
     }
     ++stats_.sparse_hits;
     return side == RankTestSide::kNSide ? test_n_side(d)
@@ -302,7 +286,6 @@ class SparseRankTester {
   void drain_stats(IterationStats& iteration) {
     iteration.rank_sparse_hits += stats_.sparse_hits;
     iteration.rank_warmstart_reuses += stats_.warmstart_reuses;
-    iteration.rank_dense_fallbacks += stats_.dense_fallbacks;
     iteration.rank_gathered_nnz += stats_.gathered_nnz;
     stats_ = RankEngineStats{};
   }
@@ -561,7 +544,6 @@ class SparseRankTester {
   std::size_t q_;
   std::size_t k_;
   std::size_t r_ = 0;  // rank_p(N) == number of stored rref rows
-  ModularRankTester<Scalar> dense_;
   std::vector<std::uint32_t> pivot_row_of_col_;  // q; kNoPivot if none
   SparseCscU64 rref_cols_;    // rref(N) mod p: r_ x q, pivot cols implicit
   SparseCscU64 kernel_rows_;  // K row store: q major slices of width k_

@@ -27,14 +27,15 @@
 
 namespace elmo {
 
+/// Accepted-candidate bytes held in memory before a spill block is flushed.
+inline constexpr std::size_t kSpillBlockBytes = std::size_t{64} << 20;
+
 /// How the governed solvers spill.  Off by default; `always` is the
 /// degrade-ladder rung that forces every chunk out-of-core.
 struct SpillPolicy {
   bool enabled = false;   // spill when the governor signals pressure
   bool always = false;    // spill unconditionally (degrade rung / tests)
   std::string directory;  // "" = system temp directory
-  /// Accepted-candidate bytes held in memory before a block is flushed.
-  std::size_t block_bytes = std::size_t{64} << 20;
 
   [[nodiscard]] bool active() const { return enabled || always; }
 };
@@ -89,7 +90,7 @@ std::uint64_t process_pair_range_spilled(
     // governor limit so the resident chunk never eats more than half of
     // whatever headroom the rest of the process (matrix replicas, sibling
     // ranks) has left under --mem-limit.
-    std::size_t flush_bytes = policy.block_bytes;
+    std::size_t flush_bytes = kSpillBlockBytes;
     if (governor.enabled()) {
       const std::size_t others =
           governor.usage() - std::min(governor.usage(), resident_bytes);

@@ -20,11 +20,6 @@ struct IterationStats {
   std::uint64_t positives = 0;         // columns with positive entry
   std::uint64_t negatives = 0;         // columns with negative entry
   std::uint64_t pairs_probed = 0;      // = positives * negatives
-  /// Subset of pairs_probed dismissed in bulk by the popcount bound
-  /// (max(|u|,|v|) > rank+2 implies the union bound fails) without an
-  /// OR+popcount probe.  Pruned pairs still count as probed — the paper's
-  /// "# candidate modes" and the pair-conservation audit both charge them.
-  std::uint64_t pairs_pruned = 0;
   std::uint64_t pretest_survivors = 0; // pairs past the cardinality test
   std::uint64_t duplicates_removed = 0;
   std::uint64_t rank_tests = 0;
@@ -37,14 +32,12 @@ struct IterationStats {
   /// from each driver's engine once per iteration.
   std::uint64_t rank_sparse_hits = 0;       // tests served by sparse paths
   std::uint64_t rank_warmstart_reuses = 0;  // tests reusing the warm cache
-  std::uint64_t rank_dense_fallbacks = 0;   // tests delegated to dense
   std::uint64_t rank_gathered_nnz = 0;      // entries gathered in total
 
   /// Sum another worker's counters over the same row into this one (the
   /// SMP thread merge).  Row, side sizes and columns_after stay as they are.
   void add_counters(const IterationStats& other) {
     pairs_probed += other.pairs_probed;
-    pairs_pruned += other.pairs_pruned;
     pretest_survivors += other.pretest_survivors;
     duplicates_removed += other.duplicates_removed;
     rank_tests += other.rank_tests;
@@ -52,14 +45,12 @@ struct IterationStats {
     spilled_bytes += other.spilled_bytes;
     rank_sparse_hits += other.rank_sparse_hits;
     rank_warmstart_reuses += other.rank_warmstart_reuses;
-    rank_dense_fallbacks += other.rank_dense_fallbacks;
     rank_gathered_nnz += other.rank_gathered_nnz;
   }
 };
 
 struct SolveStats {
   std::uint64_t total_pairs_probed = 0;
-  std::uint64_t total_pairs_pruned = 0;
   std::uint64_t total_pretest_survivors = 0;
   std::uint64_t total_rank_tests = 0;
   std::uint64_t total_accepted = 0;
@@ -69,8 +60,12 @@ struct SolveStats {
   std::uint64_t total_spilled_bytes = 0;
   std::uint64_t total_rank_sparse_hits = 0;
   std::uint64_t total_rank_warmstart_reuses = 0;
-  std::uint64_t total_rank_dense_fallbacks = 0;
   std::uint64_t total_rank_gathered_nnz = 0;
+  /// Never written: the solver has no popcount prune and no dense rank
+  /// fallback, so both read 0.  Kept only for the benchmark driver, which
+  /// still reports them as nullspace.pairs_pruned and rank_dense_fallbacks.
+  std::uint64_t total_pairs_pruned = 0;
+  std::uint64_t total_rank_dense_fallbacks = 0;
   std::uint64_t peak_columns = 0;
   std::size_t iterations = 0;
   /// Largest per-column storage snapshot observed (bytes), for the memory
@@ -91,7 +86,6 @@ struct SolveStats {
 
   void absorb(const IterationStats& it) {
     total_pairs_probed += it.pairs_probed;
-    total_pairs_pruned += it.pairs_pruned;
     total_pretest_survivors += it.pretest_survivors;
     total_rank_tests += it.rank_tests;
     total_accepted += it.accepted;
@@ -99,7 +93,6 @@ struct SolveStats {
     total_spilled_bytes += it.spilled_bytes;
     total_rank_sparse_hits += it.rank_sparse_hits;
     total_rank_warmstart_reuses += it.rank_warmstart_reuses;
-    total_rank_dense_fallbacks += it.rank_dense_fallbacks;
     total_rank_gathered_nnz += it.rank_gathered_nnz;
     peak_columns = std::max<std::uint64_t>(peak_columns, it.columns_after);
     ++iterations;
@@ -110,7 +103,6 @@ struct SolveStats {
   /// larger peaks.
   void add_totals(const SolveStats& other) {
     total_pairs_probed += other.total_pairs_probed;
-    total_pairs_pruned += other.total_pairs_pruned;
     total_pretest_survivors += other.total_pretest_survivors;
     total_rank_tests += other.total_rank_tests;
     total_accepted += other.total_accepted;
@@ -118,7 +110,6 @@ struct SolveStats {
     total_spilled_bytes += other.total_spilled_bytes;
     total_rank_sparse_hits += other.total_rank_sparse_hits;
     total_rank_warmstart_reuses += other.total_rank_warmstart_reuses;
-    total_rank_dense_fallbacks += other.total_rank_dense_fallbacks;
     total_rank_gathered_nnz += other.total_rank_gathered_nnz;
     peak_columns = std::max(peak_columns, other.peak_columns);
     peak_matrix_bytes = std::max(peak_matrix_bytes, other.peak_matrix_bytes);
@@ -166,7 +157,6 @@ inline void publish_iteration_metrics(const IterationStats& it) {
   auto& registry = obs::Registry::global();
   static const obs::Counter iterations = registry.counter("solver.iterations");
   static const obs::Counter pairs = registry.counter("solver.pairs_probed");
-  static const obs::Counter pruned = registry.counter("solver.pairs_pruned");
   static const obs::Counter survivors =
       registry.counter("solver.pretest_survivors");
   static const obs::Counter rank_tests = registry.counter("solver.rank_tests");
@@ -177,21 +167,17 @@ inline void publish_iteration_metrics(const IterationStats& it) {
       registry.counter("solver.rank_sparse_hits");
   static const obs::Counter rank_warm =
       registry.counter("solver.rank_warmstart_reuses");
-  static const obs::Counter rank_fallback =
-      registry.counter("solver.rank_dense_fallbacks");
   static const obs::Histogram iteration_pairs =
       registry.histogram("solver.iteration_pairs");
   static const obs::Gauge columns = registry.gauge("solver.columns");
   iterations.add(1);
   pairs.add(it.pairs_probed);
-  pruned.add(it.pairs_pruned);
   survivors.add(it.pretest_survivors);
   rank_tests.add(it.rank_tests);
   accepted.add(it.accepted);
   duplicates.add(it.duplicates_removed);
   rank_sparse.add(it.rank_sparse_hits);
   rank_warm.add(it.rank_warmstart_reuses);
-  rank_fallback.add(it.rank_dense_fallbacks);
   iteration_pairs.observe(it.pairs_probed);
   columns.set(it.columns_after);
 }

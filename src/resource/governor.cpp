@@ -38,19 +38,6 @@ std::size_t MemoryGovernor::usage() const {
   return total;
 }
 
-Admission MemoryGovernor::admit(std::size_t projected_bytes) const {
-  const std::size_t lim = limit();
-  if (lim == 0) return Admission::kProceed;
-  const std::size_t resident = usage();
-  if (resident >= lim) return Admission::kReject;
-  // Spill early: once the resident charge passes the half-limit watermark,
-  // or the projected transient would cross the limit, candidate blocks go
-  // out-of-core instead of gambling on the explosion staying small.
-  if (resident + projected_bytes > lim || resident > lim / 2)
-    return Admission::kSpill;
-  return Admission::kProceed;
-}
-
 void MemoryGovernor::enforce_resident(const std::string& context) const {
   const std::size_t lim = limit();
   if (lim == 0) return;

@@ -38,14 +38,6 @@ enum class Subsystem : int {
 
 const char* subsystem_name(Subsystem s);
 
-/// Admission verdict for the next iteration's candidate generation.
-enum class Admission {
-  kProceed,  // projected footprint fits comfortably under the limit
-  kSpill,    // it fits only if candidate blocks go out-of-core
-  kReject,   // resident state alone busts the limit; caller must shrink
-             // the problem (re-split) or run ungoverned
-};
-
 class MemoryGovernor {
  public:
   /// The process-wide instance every subsystem charges.
@@ -56,7 +48,7 @@ class MemoryGovernor {
   MemoryGovernor& operator=(const MemoryGovernor&) = delete;
 
   /// Set the process budget in bytes.  0 disables governance: leases still
-  /// account (the ledger is free), but admit() always answers kProceed.
+  /// account (the ledger is free), but nothing is enforced.
   void set_limit(std::size_t bytes);
   [[nodiscard]] std::size_t limit() const {
     return limit_.load(std::memory_order_relaxed);
@@ -72,16 +64,6 @@ class MemoryGovernor {
   [[nodiscard]] std::size_t peak_usage() const {
     return peak_.load(std::memory_order_relaxed);
   }
-
-  /// Coarse admission check for work that will transiently allocate about
-  /// `projected_bytes` on top of the current resident charge.  Spill
-  /// triggers early (at the half-limit watermark) because a candidate
-  /// explosion can double the footprint within one iteration.  The solver
-  /// loops do not gamble on this projection — under a limit they always
-  /// run the chunked out-of-core driver, which decides per chunk from the
-  /// live headroom — but planners (estimate-driven split sizing, tools)
-  /// use it to classify a projected footprint before committing to it.
-  [[nodiscard]] Admission admit(std::size_t projected_bytes) const;
 
   /// Throw ResourceError if the resident charge alone already exceeds the
   /// limit (the caller cannot help by spilling; only re-splitting or the

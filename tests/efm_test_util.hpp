@@ -163,7 +163,6 @@ inline std::map<std::string, std::uint64_t> solve_totals(
     const SolveStats& stats) {
   return {
       {"pairs_probed", stats.total_pairs_probed},
-      {"pairs_pruned", stats.total_pairs_pruned},
       {"pretest_survivors", stats.total_pretest_survivors},
       {"rank_tests", stats.total_rank_tests},
       {"accepted", stats.total_accepted},
@@ -171,7 +170,6 @@ inline std::map<std::string, std::uint64_t> solve_totals(
       {"spilled_bytes", stats.total_spilled_bytes},
       {"rank_sparse_hits", stats.total_rank_sparse_hits},
       {"rank_warmstart_reuses", stats.total_rank_warmstart_reuses},
-      {"rank_dense_fallbacks", stats.total_rank_dense_fallbacks},
       {"rank_gathered_nnz", stats.total_rank_gathered_nnz},
   };
 }

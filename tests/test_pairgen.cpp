@@ -1,23 +1,33 @@
 // Differential tests for the candidate-generation engine (pairgen.hpp).
 //
-// The engine composes popcount pruning, cache tiling and the SIMD pre-test
-// kernel — every one of which must be invisible in the output.  The oracle
-// is generate_candidate_refs_reference, the straight scalar row-major loop
-// the engine replaced: for random networks (Bitset64, and DynBitset with
-// inline and heap-held words) the engine must produce the exact same
-// candidate multiset, the same survivor counts, and charge every pair in
-// its range exactly once, under full-range, blocked, partitioned and
-// forced-scalar traversal alike.
+// The engine composes popcount-sorted sides, cache tiling and the SIMD
+// pre-test kernel — every one of which must be invisible in the output.
+// The oracle is generate_candidate_refs_reference, the straight scalar
+// row-major loop the engine replaced: for random columns (Bitset64, and
+// DynBitset with inline and heap-held words) and for every iteration of
+// real solves, the engine must produce the exact same candidate multiset,
+// the same survivor counts, and charge every pair in its range exactly
+// once, under full-range, blocked, partitioned and forced-scalar traversal
+// alike.
 #include "nullspace/pairgen.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "bitset/bitset64.hpp"
 #include "bitset/dynbitset.hpp"
+#include "compress/compression.hpp"
+#include "models/ecoli_core.hpp"
+#include "models/random_network.hpp"
+#include "models/toy.hpp"
+#include "nullspace/initial_basis.hpp"
 #include "nullspace/iteration.hpp"
+#include "nullspace/problem.hpp"
 #include "nullspace/rank_test.hpp"
+#include "nullspace/reversible_split.hpp"
+#include "nullspace/sparse_rank.hpp"
 #include "support/random.hpp"
 
 namespace elmo {
@@ -26,9 +36,7 @@ namespace {
 template <typename Support>
 using Cols = std::vector<FluxColumn<CheckedI64, Support>>;
 
-/// Random columns, `nnz` nonzeros each, over `q` reactions.  Larger `nnz`
-/// against a small rank exercises the popcount prune (columns whose own
-/// support already breaks rank + 2).
+/// Random columns, up to `nnz` + 1 nonzeros each, over `q` reactions.
 template <typename Support>
 Cols<Support> random_columns(std::size_t count, std::size_t q,
                              std::size_t nnz, std::uint64_t seed) {
@@ -125,14 +133,12 @@ void differential_case(std::size_t q, std::size_t nnz, std::size_t rank,
   IterationStats eng_stats;
   auto got = engine_refs(columns, row, cls, rank, eng_stats);
 
-  // Same candidates, same probe accounting: the prune only reorders and
-  // bulk-charges, it never changes what survives.
+  // Same candidates, same probe accounting: the engine only reorders the
+  // probes, it never changes what survives.
   expect_same_refs(got, want);
   EXPECT_EQ(eng_stats.pairs_probed, ref_stats.pairs_probed);
   EXPECT_EQ(eng_stats.pairs_probed, cls.pair_count());
   EXPECT_EQ(eng_stats.pretest_survivors, ref_stats.pretest_survivors);
-  EXPECT_LE(eng_stats.pairs_pruned, eng_stats.pairs_probed);
-  EXPECT_EQ(ref_stats.pairs_pruned, 0u);
 
   // Both generators build supports through from_words; check each one
   // against the support of the combination it names, built bit by bit.
@@ -149,14 +155,6 @@ void differential_case(std::size_t q, std::size_t nnz, std::size_t rank,
 TEST(PairGenDifferential, Bitset64MatchesReference) {
   for (std::uint64_t seed : {3u, 11u, 29u}) {
     differential_case<Bitset64>(60, 6, 9, seed);
-  }
-}
-
-TEST(PairGenDifferential, Bitset64PruneHeavyMatchesReference) {
-  // nnz up to 14 against rank 4: many columns individually break the
-  // rank + 2 bound, so whole stretches are pruned without probing.
-  for (std::uint64_t seed : {5u, 17u}) {
-    differential_case<Bitset64>(60, 14, 4, seed);
   }
 }
 
@@ -205,16 +203,71 @@ TEST(PairGenTables, RejectsSupportsWiderThanTheCeiling) {
   }
 }
 
-TEST(PairGenDifferential, PruneActuallyFires) {
-  // Guard against the prune silently never engaging (the differential
-  // tests would still pass): wide columns against a small rank must cut.
-  auto columns = random_columns<Bitset64>(160, 60, 14, 5);
-  RowClassification cls;
-  const std::size_t row = busiest_row(columns, 60, &cls);
-  IterationStats stats;
-  engine_refs(columns, row, cls, /*rank=*/4, stats);
-  EXPECT_GT(stats.pairs_pruned, 0u);
-  EXPECT_EQ(stats.pairs_probed, cls.pair_count());
+/// Network under test: the toy, ecoli core, or "random<seed>", a seeded
+/// 8-metabolite random network.
+Network solver_network(const std::string& name) {
+  if (name == "toy") return models::toy_network();
+  if (name == "ecoli") return models::ecoli_core();
+  models::RandomNetworkSpec spec;
+  spec.num_metabolites = 8;
+  spec.num_extra_reactions = 8;
+  spec.num_exchanges = 4;
+  spec.reversible_probability = 0.4;
+  spec.seed = std::stoull(name.substr(6));
+  return models::random_network(spec);
+}
+
+TEST(PairGenDifferential, SolverColumnsMatchReferenceEveryIteration) {
+  // The serial iteration loop of core/estimate.hpp, with the engine checked
+  // against the reference on each iteration's real columns.  Every column
+  // also stays within rank + 1 nonzeros: the rank test rejects wider
+  // supports, so no column can fail the rank + 2 pre-test on its own.
+  for (const std::string name :
+       {"toy", "ecoli", "random1", "random10", "random11"}) {
+    SCOPED_TRACE(name);
+    const auto prepared = prepare_problem(
+        to_problem<CheckedI64>(compress(solver_network(name))));
+    auto basis =
+        compute_initial_basis<CheckedI64, DynBitset>(prepared.problem);
+    const std::size_t rank = basis.stoichiometry_rank;
+    SparseRankTester<CheckedI64> tester(prepared.problem.stoichiometry,
+                                        basis.columns);
+    auto is_elementary = [&tester](const DynBitset& support) {
+      return tester.is_elementary(support);
+    };
+    auto columns = std::move(basis.columns);
+    PhaseTimer phases;
+    std::uint64_t survivors = 0;
+    for (std::size_t row : basis.processing_order) {
+      for (const auto& column : columns)
+        ASSERT_LE(column.support.count(), rank + 1);
+      const auto cls = classify_row(columns, row);
+
+      IterationStats ref_stats;
+      auto want = reference_refs(columns, row, cls, rank, ref_stats);
+      IterationStats eng_stats;
+      auto got = engine_refs(columns, row, cls, rank, eng_stats);
+      expect_same_refs(got, want);
+      EXPECT_EQ(eng_stats.pairs_probed, ref_stats.pairs_probed);
+      EXPECT_EQ(eng_stats.pretest_survivors, ref_stats.pretest_survivors);
+      survivors += eng_stats.pretest_survivors;
+
+      tester.begin_iteration(iteration_common_zero_rows(
+          columns, cls.positive, cls.negative, row));
+      IterationStats iteration;
+      std::vector<FluxColumn<CheckedI64, DynBitset>> accepted;
+      process_pair_range(columns, row, cls, rank, 0, cls.pair_count(),
+                         std::size_t{1} << 20, is_elementary, iteration,
+                         phases, accepted);
+      columns = merge_next(std::move(columns), cls,
+                           prepared.problem.reversible[row],
+                           std::move(accepted));
+    }
+    for (const auto& column : columns)
+      ASSERT_LE(column.support.count(), rank + 1);
+    EXPECT_FALSE(columns.empty());
+    EXPECT_GT(survivors, 0u);
+  }
 }
 
 TEST(PairGenDifferential, ScalarAndSimdKernelsAreBitIdentical) {
@@ -236,7 +289,6 @@ TEST(PairGenDifferential, ScalarAndSimdKernelsAreBitIdentical) {
                               scalar_config);
     expect_same_refs(simd, scalar);
     EXPECT_EQ(simd_stats.pairs_probed, scalar_stats.pairs_probed);
-    EXPECT_EQ(simd_stats.pairs_pruned, scalar_stats.pairs_pruned);
     EXPECT_EQ(simd_stats.pretest_survivors, scalar_stats.pretest_survivors);
   }
 }

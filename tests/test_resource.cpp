@@ -32,7 +32,6 @@
 namespace elmo {
 namespace {
 
-using resource::Admission;
 using resource::MemoryGovernor;
 using resource::MemoryLease;
 using resource::Subsystem;
@@ -74,28 +73,6 @@ TEST(Governor, LeaseMoveTransfersTheCharge) {
   EXPECT_EQ(gov.usage(), 64u);
   b.release();
   EXPECT_EQ(gov.usage(), 0u);
-}
-
-TEST(Governor, AdmissionPolicy) {
-  MemoryGovernor gov;
-  // Ungoverned: everything proceeds regardless of the ledger.
-  MemoryLease lease(Subsystem::kMatrix, gov);
-  lease.set(10'000);
-  EXPECT_EQ(gov.admit(1'000'000), Admission::kProceed);
-
-  gov.set_limit(1000);
-  ASSERT_TRUE(gov.enabled());
-  lease.set(300);
-  // Fits comfortably: below the half-limit watermark, projection fits.
-  EXPECT_EQ(gov.admit(100), Admission::kProceed);
-  // Projected transient would cross the limit -> spill.
-  EXPECT_EQ(gov.admit(800), Admission::kSpill);
-  // Past the half-limit watermark, spill even with no projection.
-  lease.set(600);
-  EXPECT_EQ(gov.admit(0), Admission::kSpill);
-  // Resident alone at/over the limit -> reject.
-  lease.set(1000);
-  EXPECT_EQ(gov.admit(0), Admission::kReject);
 }
 
 TEST(Governor, EnforceResidentThrowsTypedRetryableError) {
