@@ -233,13 +233,12 @@ ScenarioResult run_scenario(const std::string& name, const Fixture& fixture,
 
   std::fprintf(stderr,
                "[%s] q=%zu m=%zu k=%zu rank=%zu iters=%zu tests=%zu "
-               "sparse=%llu warm=%llu nnz=%llu\n",
+               "warm=%llu nnz=%llu\n",
                name.c_str(), fixture.problem.num_reactions(),
                fixture.problem.num_metabolites(),
                fixture.basis.columns.size(),
                fixture.basis.stoichiometry_rank, fixture.iterations.size(),
                fixture.total_tests(),
-               static_cast<unsigned long long>(engine.stats().sparse_hits),
                static_cast<unsigned long long>(
                    engine.stats().warmstart_reuses),
                static_cast<unsigned long long>(engine.stats().gathered_nnz));

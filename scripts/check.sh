@@ -54,9 +54,10 @@ run cmake --build build-asan "${JOBS}"
 echo "== 3/9 thread sanitizer (threaded suites) =="
 run cmake -B build-tsan -S . -DELMO_SANITIZE=thread >/dev/null
 run cmake --build build-tsan "${JOBS}" --target \
-    test_mpsim test_parallel test_fault_tolerance test_obs test_combined_solver
+    test_mpsim test_parallel test_fault_tolerance test_obs test_combined_solver \
+    test_hybrid
 (cd build-tsan && run ctest --output-on-failure \
-    -R '^(test_mpsim|test_parallel|test_fault_tolerance|test_obs|test_combined_solver)$')
+    -R '^(test_mpsim|test_parallel|test_fault_tolerance|test_obs|test_combined_solver|test_hybrid)$')
 
 echo "== 4/9 observability smoke =="
 SMOKE_DIR="$(mktemp -d)"

@@ -30,7 +30,7 @@ if ! run cmake --preset tsan >/dev/null; then
 fi
 if ! run cmake --build --preset tsan "$JOBS" \
     --target test_mpsim test_parallel test_fault_tolerance \
-    test_combined_solver; then
+    test_combined_solver test_hybrid; then
   echo "tsan_cross: the TSan preset build failed — cannot produce the" \
        "instrumented test binaries; fix the build before trusting the" \
        "static/runtime race cross-check" >&2

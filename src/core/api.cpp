@@ -320,7 +320,6 @@ obs::SolveReport make_solve_report(const EfmResult& result,
   report.totals["pairs_probed"] = stats.total_pairs_probed;
   report.totals["pretest_survivors"] = stats.total_pretest_survivors;
   report.totals["rank_tests"] = stats.total_rank_tests;
-  report.totals["rank_sparse_hits"] = stats.total_rank_sparse_hits;
   report.totals["rank_warmstart_reuses"] = stats.total_rank_warmstart_reuses;
   report.totals["rank_gathered_nnz"] = stats.total_rank_gathered_nnz;
   report.totals["accepted"] = stats.total_accepted;

@@ -478,8 +478,9 @@ CombinedResult<Scalar, Support> solve_combined(
     }
     if (task.degrade && task.attempt > 1) {
       // Resource degrade ladder (ResourceError / bad_alloc): each retry
-      // halves the candidate tile again; from the second retry on, every
-      // block goes out-of-core unconditionally.
+      // halves block_ref_cap again, which bounds the support table's
+      // rejected entries and sizes the out-of-core chunks; from the second
+      // retry on, every chunk goes out-of-core unconditionally.
       parallel.solver.block_ref_cap = std::max<std::size_t>(
           std::size_t{1} << 12,
           options.solver.block_ref_cap >> (task.attempt - 1));

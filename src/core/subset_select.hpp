@@ -5,8 +5,10 @@
 // rows last) — {R89r, R74r} for Network I, {R54r, R90r, R60r} for Network
 // II — and notes (§IV.C) that an automated selection strategy is open
 // future work.  select_partition_rows implements the paper's manual rule;
-// rank_partition_candidates implements a simple automated scorer for the
-// ablation bench (see core/estimate.hpp for the cost estimator it uses).
+// select_partition_rows_up_to is the same rule when fewer rows may do
+// (the combined driver takes its re-split spares from it).  No automated selection exists: the
+// ablation bench (bench_ablation_qsub) scores candidate partitions with
+// the cost estimator in core/estimate.hpp.
 #pragma once
 
 #include <algorithm>

@@ -8,12 +8,17 @@
 // (core/estimate.hpp):
 //
 //   classify_row        - split columns into zero / positive / negative
-//   process_pair_range  - over a flattened pair-index range (the range is
-//                         what Algorithm 2 partitions across compute
-//                         ranks): generate candidate refs, dedup them, run
-//                         the per-candidate elementarity test and
-//                         materialise the accepted ones
-//   sort_and_dedup      - the paper's Sort&RemoveDuplicates (by support)
+//   SupportTable        - the paper's Sort&RemoveDuplicates, once per
+//                         iteration and before the rank test: every block,
+//                         SMP worker and spill chunk of one rank offers its
+//                         candidate refs to one support-keyed table, which
+//                         rank-tests each distinct support once and
+//                         materialises the accepted ones in support order
+//   process_pair_range  - one pair-index range (the range is what
+//                         Algorithm 2 partitions across compute ranks)
+//                         through a SupportTable of its own
+//   sort_and_dedup      - Sort&RemoveDuplicates over materialised columns,
+//                         for Algorithm 2's cross-rank exchange
 //   merge_next          - RemoveNegColumns + concatenate survivors
 //
 // The cardinality pre-test inside candidate generation is the hot loop: an
@@ -26,15 +31,17 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
-#include <optional>
-#include <type_traits>
+#include <limits>
+#include <mutex>
 #include <vector>
 
 #include "bitset/traits.hpp"
 #include "nullspace/flux_column.hpp"
 #include "nullspace/pairgen.hpp"
 #include "nullspace/stats.hpp"
+#include "resource/governor.hpp"
 #include "support/timer.hpp"
 
 namespace elmo {
@@ -255,174 +262,327 @@ void sort_and_dedup(std::vector<FluxColumn<Scalar, Support>>& candidates,
   candidates.erase(last, candidates.end());
 }
 
-/// Empty existing-column index: substituted when a block produced no refs
-/// so tables.existing() is never forced just to loop over zero candidates.
+/// The iteration's one Sort&RemoveDuplicates (paper, Algorithms 1 and 2):
+/// one rank's pretest survivors — every block, SMP worker and spill chunk
+/// of its pair range — meet in this table, keyed by exact support, before
+/// any rank test.
+///
+///   - Each entry keeps the ref with the lowest engine index (the winner;
+///     workers may offer out of order) and the support's verdict.
+///   - A support the table has not seen is rank-tested once, by the worker
+///     that offered it; every later ref with that support only counts in
+///     duplicates_removed.  So rank_tests does not depend on the worker
+///     count or the chunking.
+///   - A support that equals an existing zero column's is settled on
+///     delivery, from the final winner: dropped if its values duplicate
+///     that column (the paper's Fig. 2 fourth iteration), else rank-tested.
+///     Mirrors are kept.
+///   - deliver() materialises the accepted supports from their winners in
+///     support order.  Equal-support candidates that pass the rank test are
+///     proportional, so the winner fixes only the orientation.
+///
+/// Memory: the table keeps every accepted support of the iteration.  It
+/// drops its rejected ones (a dropped support offered again is tested
+/// again) when `ref_cap` of them pile up, or when the table passes
+/// offer()'s `max_bytes` and they are at least half of its entries: so it
+/// holds at most about max(max_bytes, twice the accepted entries), and the
+/// drops cost linear time overall.  Each worker also holds its in-flight
+/// block.  The table charges its bytes to the kCandidates lease.
+///
+/// An open-addressing index over an entry vector, rather than a node-based
+/// std::unordered_map: the map made yeast Network I (knockouts R15, R33,
+/// R41) at --threads 4 about 30% slower (DESIGN.md §11).
+///
+/// offer() is thread-safe: workers hash, generate and rank-test outside
+/// the lock and take it twice per block, to insert and to record verdicts.
 template <typename Scalar, typename Support>
-inline const std::vector<const FluxColumn<Scalar, Support>*> kNoExisting{};
+class SupportTable {
+ public:
+  SupportTable(const PairGenTables<Scalar, Support>& tables,
+               std::size_t ref_cap)
+      : tables_(tables),
+        ref_cap_(ref_cap),
+        block_refs_(std::max<std::size_t>(
+            1, std::min(ref_cap, kBlockRefs))) {}
+  SupportTable(const SupportTable&) = delete;
+  SupportTable& operator=(const SupportTable&) = delete;
 
-/// Process one rank's pair range [begin, end) for `row` in bounded-memory
-/// blocks: generate refs through the pairgen engine, dedup (within block,
-/// across blocks, and against existing zero columns), apply
-/// `is_elementary(support)`, and materialise accepted candidates into
-/// `accepted_out` (appended; earlier content is left untouched).
+  /// Generate the engine indices [begin, end) block by block, offer every
+  /// ref and rank-test the supports this table sees first.
+  template <typename TestFn>
+  void offer(std::uint64_t begin, std::uint64_t end,
+             const TestFn& is_elementary, IterationStats& stats,
+             PhaseTimer& phases,
+             std::size_t max_bytes = std::numeric_limits<std::size_t>::max()) {
+    PairGen<Scalar, Support> gen(tables_, begin, end);
+    std::vector<CandidateRef<Support>> refs;
+    std::vector<std::uint64_t> hashes;
+    std::vector<Verdict> verdicts;
+    while (!gen.done()) {
+      refs.clear();
+      {
+        ScopedPhase phase(phases, Phase::kGenCand);
+        gen.generate(block_refs_, refs, stats);
+      }
+      std::size_t fresh = 0;
+      {
+        ScopedPhase phase(phases, Phase::kMerge);
+        hashes.resize(refs.size());
+        for (std::size_t c = 0; c < refs.size(); ++c)
+          hashes[c] = hash(refs[c].support);
+        {
+          std::lock_guard<std::mutex> lock(mutex_);
+          fresh = insert_locked(refs, hashes);
+        }
+        stats.duplicates_removed += refs.size() - fresh;
+        verdicts.assign(fresh, Verdict::kPending);
+        for (std::size_t c = 0; c < fresh; ++c) {
+          if (!existing_with(refs[c].support).empty())
+            verdicts[c] = Verdict::kExisting;
+        }
+      }
+      {
+        ScopedPhase phase(phases, Phase::kRankTest);
+        for (std::size_t c = 0; c < fresh; ++c) {
+          if (verdicts[c] == Verdict::kExisting) continue;
+          ++stats.rank_tests;
+          verdicts[c] = is_elementary(refs[c].support) ? Verdict::kAccepted
+                                                       : Verdict::kRejected;
+        }
+      }
+      ScopedPhase phase(phases, Phase::kMerge);
+      std::lock_guard<std::mutex> lock(mutex_);
+      for (std::size_t c = 0; c < fresh; ++c) {
+        verdicts_[entry_index(slots_[find(refs[c].support, hashes[c])])] =
+            verdicts[c];
+        if (verdicts[c] == Verdict::kRejected)
+          ++rejected_;
+        else
+          due_.push_back(refs[c].support);
+      }
+      if (rejected_ >= ref_cap_ || (2 * rejected_ >= winners_.size() &&
+                                    bytes_locked() > max_bytes))
+        drop_rejected_locked();
+      lease_.set(bytes_locked());
+    }
+  }
+
+  /// Append the accepted supports not delivered before, materialised from
+  /// their winning refs, in support order, and count them in
+  /// stats.accepted.  The few rank tests of kExisting supports are timed
+  /// as merge.  No offer() may run concurrently, and none may later
+  /// offer a lower engine index for a delivered support.
+  template <typename TestFn>
+  void deliver(const TestFn& is_elementary, IterationStats& stats,
+               PhaseTimer& phases,
+               std::vector<FluxColumn<Scalar, Support>>& out) {
+    ScopedPhase phase(phases, Phase::kMerge);
+    std::sort(due_.begin(), due_.end());
+    const auto& columns = tables_.columns();
+    const std::size_t first = out.size();
+    for (const Support& support : due_) {
+      const std::size_t e =
+          entry_index(slots_[find(support, hash(support))]);
+      Verdict& verdict = verdicts_[e];
+      FluxColumn<Scalar, Support> column;
+      combine_values_into(columns[winners_[e].positive],
+                          columns[winners_[e].negative], tables_.row(),
+                          column.values);
+      if (verdict == Verdict::kExisting) {
+        if (std::ranges::any_of(existing_with(support),
+                                [&](const auto* existing) {
+                                  return existing->values == column.values;
+                                })) {
+          ++stats.duplicates_removed;
+          verdict = Verdict::kDuplicate;
+          continue;
+        }
+        ++stats.rank_tests;
+        if (!is_elementary(support)) {
+          verdict = Verdict::kRejected;
+          ++rejected_;
+          continue;
+        }
+      }
+      verdict = Verdict::kAccepted;
+      column.support = support;
+      out.push_back(std::move(column));
+    }
+    stats.accepted += out.size() - first;
+    due_.clear();
+    lease_.set(bytes_locked());
+  }
+
+  /// Bytes the table charges to its lease.  For the one-worker chunk
+  /// loop, between offers.
+  [[nodiscard]] std::size_t bytes() const { return lease_.charged(); }
+
+ private:
+  /// Worker block: small, so a worker holds few refs the table has not
+  /// yet deduplicated, and large enough that two lock rounds per block
+  /// stay cheap.
+  static constexpr std::size_t kBlockRefs = std::size_t{1} << 14;
+
+  enum class Verdict : std::uint8_t {
+    kPending,    // offered; its worker is rank-testing it
+    kExisting,   // an existing zero column has this support; see deliver
+    kRejected,
+    kDuplicate,  // an existing column's values; never dropped, so a
+                 // later ref's winner cannot settle it differently
+    kAccepted,   // in due_ until delivered
+  };
+
+  /// Slot word: the hash's high half, then entry index + 1 (0 = empty).
+  static constexpr std::uint64_t kIndexMask = 0xffffffffULL;
+
+  static std::uint64_t hash(const Support& support) {
+    std::uint64_t h = 0;
+    for (const std::uint64_t word : support.words()) {
+      h = (h ^ word) * 0xff51afd7ed558ccdULL;
+      h ^= h >> 33;
+    }
+    h *= 0xc4ceb9fe1a85ec53ULL;
+    return h ^ (h >> 29);
+  }
+  static std::size_t entry_index(std::uint64_t slot) {
+    return static_cast<std::size_t>((slot & kIndexMask) - 1);
+  }
+
+  /// The slot holding `support` (hash `h`), or the empty slot where it
+  /// belongs.
+  [[nodiscard]] std::size_t find(const Support& support,
+                                 std::uint64_t h) const {
+    const std::size_t mask = slots_.size() - 1;
+    for (auto s = static_cast<std::size_t>(h) & mask;; s = (s + 1) & mask) {
+      const std::uint64_t slot = slots_[s];
+      if (slot == 0) return s;
+      if ((slot & ~kIndexMask) == (h & ~kIndexMask) &&
+          winners_[entry_index(slot)].support == support)
+        return s;
+    }
+  }
+
+  /// Existing zero columns with this support (sorted by support in the
+  /// engine tables; built on first use).
+  [[nodiscard]] auto existing_with(const Support& support) const {
+    return std::ranges::equal_range(
+        tables_.existing(), support, {},
+        [](const auto* column) -> const Support& { return column->support; });
+  }
+
+  /// Insert `refs` (one block, in engine order, with their hashes).
+  /// Supports the table had not seen move to the front of `refs` and
+  /// `hashes`; returns their count.
+  std::size_t insert_locked(std::vector<CandidateRef<Support>>& refs,
+                            std::vector<std::uint64_t>& hashes) {
+    const std::size_t most = winners_.size() + refs.size();
+    if (4 * most > 3 * slots_.size())  // load factor at most 3/4
+      rehash_locked(most);
+    std::size_t fresh = 0;
+    for (std::size_t c = 0; c < refs.size(); ++c) {
+      const std::uint64_t h = hashes[c];
+      const std::size_t s = find(refs[c].support, h);
+      if (slots_[s] != 0) {
+        CandidateRef<Support>& winner = winners_[entry_index(slots_[s])];
+        if (tables_.engine_before(refs[c], winner)) {
+          winner.positive = refs[c].positive;
+          winner.negative = refs[c].negative;
+        }
+        continue;
+      }
+      slots_[s] = (h & ~kIndexMask) | (winners_.size() + 1);
+      winners_.push_back(refs[c]);
+      verdicts_.push_back(Verdict::kPending);
+      if (fresh != c) {
+        refs[fresh] = std::move(refs[c]);
+        hashes[fresh] = h;
+      }
+      ++fresh;
+    }
+    return fresh;
+  }
+
+  void drop_rejected_locked() {
+    std::size_t kept = 0;
+    for (std::size_t e = 0; e < winners_.size(); ++e) {
+      if (verdicts_[e] == Verdict::kRejected) continue;
+      if (kept != e) {
+        winners_[kept] = std::move(winners_[e]);
+        verdicts_[kept] = verdicts_[e];
+      }
+      ++kept;
+    }
+    winners_.resize(kept);
+    winners_.shrink_to_fit();
+    verdicts_.resize(kept);
+    verdicts_.shrink_to_fit();
+    rejected_ = 0;
+    rehash_locked(kept);
+  }
+
+  /// Rebuild the slots for `entries` entries at load factor at most 3/4.
+  void rehash_locked(std::size_t entries) {
+    slots_.assign(std::max<std::size_t>(
+                      std::bit_ceil(entries + entries / 3 + 1), 64),
+                  0);
+    slots_.shrink_to_fit();
+    for (std::size_t e = 0; e < winners_.size(); ++e) {
+      const std::uint64_t h = hash(winners_[e].support);
+      slots_[find(winners_[e].support, h)] = (h & ~kIndexMask) | (e + 1);
+    }
+  }
+
+  [[nodiscard]] std::size_t bytes_locked() const {
+    return winners_.capacity() * sizeof(CandidateRef<Support>) +
+           verdicts_.capacity() * sizeof(Verdict) +
+           slots_.capacity() * sizeof(std::uint64_t) +
+           due_.capacity() * sizeof(Support);
+  }
+
+  const PairGenTables<Scalar, Support>& tables_;
+  const std::size_t ref_cap_;
+  const std::size_t block_refs_;
+  std::mutex mutex_;  // guards everything below while workers offer
+  // Entry e: its support's winning ref (lowest engine index offered) and
+  // verdict.
+  std::vector<CandidateRef<Support>> winners_;
+  std::vector<Verdict> verdicts_;
+  std::vector<std::uint64_t> slots_;  // open addressing, linear probing
+  std::vector<Support> due_;          // accepted or kExisting, undelivered
+  std::size_t rejected_ = 0;          // rejected entries held
+  resource::MemoryLease lease_{resource::Subsystem::kCandidates};
+};
+
+/// Process one rank's pair range [begin, end) for `row`: offer it to a
+/// SupportTable of its own (dedup within the range and against existing
+/// zero columns, one rank test per distinct support), then append the
+/// accepted candidates to `accepted_out` in support order (earlier content
+/// is left untouched).
 ///
 /// [begin, end) are ENGINE indices (tile-major over popcount-sorted sides;
 /// see pairgen.hpp).  Any partition of [0, cls.pair_count()) covers every
 /// pair exactly once, so rank slicing and the pair-conservation audit are
-/// unaffected by the reordering.
-///
-/// `shared_tables`, when given, must have been built from the same
-/// (columns, row, cls, rank); dynamic schedulers build the tables once per
-/// iteration and fan worker ranges out against them.  When null the tables
-/// are built locally.
-///
-/// Blocking bounds transient memory by ~ref_cap refs regardless of how many
-/// pretest survivors the pair range produces (the full Network I run
-/// generates billions).
+/// unaffected by the reordering.  `ref_cap` bounds the table's rejected
+/// supports (see SupportTable).
 template <typename Scalar, typename Support, typename TestFn>
 void process_pair_range(
     const std::vector<FluxColumn<Scalar, Support>>& columns, std::size_t row,
     const RowClassification& cls, std::size_t rank, std::uint64_t begin,
     std::uint64_t end, std::size_t ref_cap, const TestFn& is_elementary,
     IterationStats& stats, PhaseTimer& phases,
-    std::vector<FluxColumn<Scalar, Support>>& accepted_out,
-    const PairGenTables<Scalar, Support>* shared_tables = nullptr) {
+    std::vector<FluxColumn<Scalar, Support>>& accepted_out) {
   if (cls.positive.empty() || cls.negative.empty() || begin >= end) {
     stats.pairs_probed += (begin < end) ? end - begin : 0;
     return;
   }
-
-  std::optional<PairGenTables<Scalar, Support>> local_tables;
-  if (shared_tables == nullptr) {
+  const auto tables = [&] {
     ScopedPhase phase(phases, Phase::kGenCand);
-    local_tables.emplace(columns, row, cls.positive, cls.negative, cls.zero,
-                         rank);
-  }
-  const PairGenTables<Scalar, Support>& tables =
-      shared_tables != nullptr ? *shared_tables : *local_tables;
-
-  const std::size_t initial_accepted = accepted_out.size();
-  std::vector<Support> accepted_supports;  // sorted, for cross-block dedup
-  std::vector<CandidateRef<Support>> refs;
-  refs.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
-      {ref_cap, end - begin, std::uint64_t{1} << 20})));
-  ValueSlab<Scalar> value_slab;  // recycles duplicate-probe value buffers
-  PairGen<Scalar, Support> gen(tables, begin, end);
-  while (!gen.done()) {
-    refs.clear();
-    {
-      ScopedPhase phase(phases, Phase::kGenCand);
-      gen.generate(ref_cap, refs, stats);
-    }
-    std::size_t block_first_accept = accepted_out.size();
-    {
-      ScopedPhase phase(phases, Phase::kMerge);
-      // Stable sort by support ONLY: among equal supports the FIRST ref in
-      // engine order survives.  Cross-block dedup keeps the earliest
-      // block's ref, so first-in-engine-order is the one winner rule that
-      // makes the result independent of ref_cap blocking.
-      std::stable_sort(refs.begin(), refs.end(),
-                       [](const auto& a, const auto& b) {
-                         return a.support < b.support;
-                       });
-      auto last = std::unique(refs.begin(), refs.end(),
-                              [](const auto& a, const auto& b) {
-                                return a.support == b.support;
-                              });
-      stats.duplicates_removed +=
-          static_cast<std::uint64_t>(refs.end() - last);
-      refs.erase(last, refs.end());
-
-      // Cross-block duplicates.
-      if (!accepted_supports.empty()) {
-        std::size_t kept = 0;
-        for (std::size_t c = 0; c < refs.size(); ++c) {
-          if (std::binary_search(accepted_supports.begin(),
-                                 accepted_supports.end(), refs[c].support)) {
-            ++stats.duplicates_removed;
-            continue;
-          }
-          if (kept != c) refs[kept] = std::move(refs[c]);
-          ++kept;
-        }
-        refs.resize(kept);
-      }
-      // Duplicates of existing zero columns (value-exact only).  The
-      // sorted-by-support index is built inside the tables on first use —
-      // guarding on refs keeps pure probe passes from ever paying for the
-      // sort.  A candidate whose support AND values duplicate an existing
-      // column is dropped (the paper's Fig. 2 fourth iteration), mirrors
-      // are kept.
-      if (const auto& existing =
-              refs.empty() ? kNoExisting<Scalar, Support> : tables.existing();
-          !existing.empty()) {
-        std::size_t kept = 0;
-        for (std::size_t c = 0; c < refs.size(); ++c) {
-          auto range = std::equal_range(
-              existing.begin(), existing.end(), refs[c].support,
-              [](const auto& a, const auto& b) {
-                if constexpr (std::is_pointer_v<std::decay_t<decltype(a)>>) {
-                  return a->support < b;
-                } else {
-                  return a < b->support;
-                }
-              });
-          bool duplicate = false;
-          if (range.first != range.second) {
-            // Support collision: compare primitive values without
-            // materialising a column (the buffer is recycled).
-            auto probe = value_slab.acquire();
-            combine_values_into(columns[refs[c].positive],
-                                columns[refs[c].negative], row, probe);
-            for (auto it = range.first; it != range.second && !duplicate;
-                 ++it) {
-              duplicate = (*it)->values == probe;
-            }
-            value_slab.release(std::move(probe));
-          }
-          if (duplicate) {
-            ++stats.duplicates_removed;
-            continue;
-          }
-          if (kept != c) refs[kept] = std::move(refs[c]);
-          ++kept;
-        }
-        refs.resize(kept);
-      }
-    }
-    {
-      ScopedPhase phase(phases, Phase::kRankTest);
-      for (auto& ref : refs) {
-        ++stats.rank_tests;
-        if (!is_elementary(ref.support)) continue;
-        // Materialise in place: combine_values_into yields the primitive
-        // value vector and the ref already carries the exact support, so
-        // neither is recomputed by FluxColumn::from_values.
-        FluxColumn<Scalar, Support> column;
-        auto values = value_slab.acquire();
-        combine_values_into(columns[ref.positive], columns[ref.negative], row,
-                            values);
-        column.values = std::move(values);
-        column.support = std::move(ref.support);
-        accepted_out.push_back(std::move(column));
-      }
-    }
-    if (!gen.done()) {
-      // More blocks follow: remember this block's accepted supports.  The
-      // block's refs were support-sorted, so its accepted slice already is;
-      // one in-place merge keeps the running index sorted in linear time.
-      ScopedPhase phase(phases, Phase::kMerge);
-      const auto mid = static_cast<std::ptrdiff_t>(accepted_supports.size());
-      accepted_supports.reserve(accepted_out.size() - initial_accepted);
-      for (std::size_t a = block_first_accept; a < accepted_out.size(); ++a)
-        accepted_supports.push_back(accepted_out[a].support);
-      std::inplace_merge(accepted_supports.begin(),
-                         accepted_supports.begin() + mid,
-                         accepted_supports.end());
-    }
-  }
-  stats.accepted +=
-      static_cast<std::uint64_t>(accepted_out.size() - initial_accepted);
+    return PairGenTables<Scalar, Support>(columns, row, cls.positive,
+                                          cls.negative, cls.zero, rank);
+  }();
+  SupportTable<Scalar, Support> table(tables, ref_cap);
+  table.offer(begin, end, is_elementary, stats, phases);
+  table.deliver(is_elementary, stats, phases, accepted_out);
 }
 
 /// Build the next iteration's matrix: zero columns + positive columns +

@@ -39,6 +39,7 @@
 #include <bit>
 #include <cstdint>
 #include <mutex>
+#include <tuple>
 #include <vector>
 
 #include "bitset/traits.hpp"
@@ -75,14 +76,6 @@ struct CandidateRef {
   Support support;
   std::uint32_t positive = 0;  // column index into the current matrix
   std::uint32_t negative = 0;
-
-  friend bool operator<(const CandidateRef& a, const CandidateRef& b) {
-    // Support-major order; the pair indices break ties deterministically
-    // so results do not depend on generation order (rank count, blocking).
-    if (auto cmp = a.support <=> b.support; cmp != 0) return cmp < 0;
-    if (a.positive != b.positive) return a.positive < b.positive;
-    return a.negative < b.negative;
-  }
 };
 
 namespace pairgen_detail {
@@ -139,27 +132,6 @@ __attribute__((target("avx2"))) inline unsigned group_survivor_mask(
 
 }  // namespace pairgen_detail
 
-/// Slab of recycled value vectors for transient FluxColumn
-/// materialisations (duplicate probes, rejected candidates).  Accepted
-/// columns keep their vector; releasing a rejected one returns its
-/// capacity for the next acquire.
-template <typename Scalar>
-class ValueSlab {
- public:
-  [[nodiscard]] std::vector<Scalar> acquire() {
-    if (free_.empty()) return {};
-    auto values = std::move(free_.back());
-    free_.pop_back();
-    return values;
-  }
-  void release(std::vector<Scalar>&& values) {
-    free_.push_back(std::move(values));
-  }
-
- private:
-  std::vector<std::vector<Scalar>> free_;
-};
-
 struct PairGenConfig {
   /// Select the portable scalar kernel even when AVX2 is available
   /// (differential tests compare the two paths bit for bit).
@@ -194,6 +166,7 @@ class PairGenTables {
                             .support);
     use_simd_ = pairgen_detail::simd_selectable() && !config.force_scalar;
 
+    sorted_at_.resize(columns.size());
     build_side(columns, positive, pos_col_, pos_words_);
     build_side(columns, negative, neg_col_, neg_words_);
     build_quad();
@@ -219,6 +192,22 @@ class PairGenTables {
   }
   [[nodiscard]] std::size_t stride() const { return stride_; }
   [[nodiscard]] bool simd_active() const { return use_simd_; }
+  [[nodiscard]] const std::vector<FluxColumn<Scalar, Support>>& columns()
+      const {
+    return *columns_;
+  }
+  [[nodiscard]] std::size_t row() const { return row_; }
+  /// Does `a`'s pair (its positive and negative column) come before
+  /// `b`'s in engine-index order?  Engine indices run tile by tile, then
+  /// by sorted positive, then by sorted negative (see PairGen::generate).
+  [[nodiscard]] bool engine_before(const auto& a, const auto& b) const {
+    const std::uint32_t ai = sorted_at_[a.positive];
+    const std::uint32_t aj = sorted_at_[a.negative];
+    const std::uint32_t bi = sorted_at_[b.positive];
+    const std::uint32_t bj = sorted_at_[b.negative];
+    return std::tuple(aj / tile_cols_, ai, aj) <
+           std::tuple(bj / tile_cols_, bi, bj);
+  }
   /// Existing zero columns sorted by support, for duplicate suppression.
   /// Built on first call (sorting the zero side costs more than probing a
   /// small pair range, and pure probe passes never need it); the
@@ -264,6 +253,7 @@ class PairGenTables {
     words.resize(keys.size() * stride_);
     for (std::size_t k = 0; k < keys.size(); ++k) {
       col[k] = keys[k].second;
+      sorted_at_[col[k]] = static_cast<std::uint32_t>(k);
       std::ranges::copy(columns[col[k]].support.words(),
                         words.begin() + k * stride_);
     }
@@ -294,6 +284,7 @@ class PairGenTables {
   std::size_t accept_cap_;  // rank + 1: exact-support acceptance bound
   bool use_simd_ = false;
   std::vector<std::uint32_t> pos_col_, neg_col_;  // sorted -> matrix index
+  std::vector<std::uint32_t> sorted_at_;  // matrix index -> sorted, per side
   std::vector<std::uint64_t> pos_words_, neg_words_;  // row-major, sorted
   std::vector<std::uint64_t> neg_quad_;  // 4-interleaved (AVX2 kernel)
   std::uint64_t tile_cols_ = 4;

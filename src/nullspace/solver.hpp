@@ -41,8 +41,9 @@ namespace elmo {
 
 struct SolverOptions {
   OrderingOptions ordering;
-  /// Candidate refs held in memory at once (bounded-memory blocking of the
-  /// candidate stream); the default caps transient usage around 100 MB.
+  /// Rejected supports an iteration's SupportTable holds before it drops
+  /// them: with the accepted supports, its memory bound (at the default,
+  /// about 140 MB of rejected entries and their slots).
   std::size_t block_ref_cap = std::size_t{1} << 21;
   /// Rows the caller wants left unprocessed (divide-and-conquer's
   /// nonzero-flux partition reactions), as reduced row indices.
@@ -198,12 +199,15 @@ struct RankPart {
 };
 
 /// Generate, dedup and test one iteration's pair `range`, appending the
-/// accepted candidates; `make_test(worker)` is that worker's staged
-/// elementarity test.  The one place an iteration picks its path: SMP
-/// workers share the range in memory; one worker takes the chunked
-/// out-of-core driver whenever the run is governed (chunks hit disk only
-/// when the live headroom says so: the candidate transient cannot be
-/// predicted up front), else the in-memory driver.
+/// accepted candidates in support order; `make_test(worker)` is that
+/// worker's staged elementarity test.  The one place an iteration picks
+/// its path: SMP workers share the range in memory; one worker takes the
+/// chunked out-of-core driver whenever the run is governed (chunks hit
+/// disk only when the live headroom says so: the candidate transient
+/// cannot be predicted up front), else the in-memory driver.  Every path
+/// offers its refs to one SupportTable, the iteration's only dedup before
+/// the rank test, so the rank tests and the result do not depend on the
+/// worker count or the chunking.
 template <typename Scalar, typename Support, typename MakeTest>
 void generate_pair_range(
     const SolverOptions& options,
@@ -211,60 +215,52 @@ void generate_pair_range(
     const RowClassification& cls, std::size_t rank, PairRange range,
     const MakeTest& make_test, ThreadPool* pool, IterationStats& iteration,
     PhaseTimer& phases, std::vector<FluxColumn<Scalar, Support>>& accepted) {
+  if (range.count() == 0) return;  // no pairs: skip the engine tables
+  const auto tables = [&] {
+    ScopedPhase phase(phases, Phase::kGenCand);
+    return PairGenTables<Scalar, Support>(columns, row, cls.positive,
+                                          cls.negative, cls.zero, rank);
+  }();
+  SupportTable<Scalar, Support> table(tables, options.block_ref_cap);
   if (pool == nullptr) {
     const bool spill = options.spill.always ||
                        (options.spill.enabled && !options.ignore_mem_limit &&
                         resource::MemoryGovernor::global().enabled());
     if (spill) {
       iteration.spilled_bytes += process_pair_range_spilled(
-          columns, row, cls, rank, range.begin, range.end,
-          options.block_ref_cap, make_test(0), iteration, phases,
-          accepted, options.spill);
-    } else {
-      process_pair_range(columns, row, cls, rank, range.begin, range.end,
-                         options.block_ref_cap, make_test(0), iteration,
-                         phases, accepted);
+          table, range.begin, range.end, options.block_ref_cap, make_test(0),
+          iteration, phases, accepted, options.spill);
+      return;
     }
-    return;
+    table.offer(range.begin, range.end, make_test(0), iteration, phases);
+  } else {
+    // SMP: workers steal adaptive batches off a shared cursor (survivor
+    // density is wildly skewed across the pair space; static per-thread
+    // sub-slices idled every worker but the unluckiest), all probing
+    // against one set of engine tables and offering to one table.
+    const std::size_t workers = pool->size();
+    std::vector<IterationStats> worker_stats(workers);
+    std::vector<PhaseTimer> worker_phases(workers);
+    // Batches small enough to balance a skewed tail, large enough that the
+    // per-batch engine setup (a cursor, no tables) stays noise.
+    constexpr std::uint64_t kMinGrain = 4096;
+    parallel_for_dynamic(
+        *pool, range.count(), kMinGrain,
+        [&](int t, std::uint64_t sub_begin, std::uint64_t sub_end) {
+          const auto w = static_cast<std::size_t>(t);
+          table.offer(range.begin + sub_begin, range.begin + sub_end,
+                      make_test(w), worker_stats[w], worker_phases[w]);
+        });
+    PhaseTimer slowest_worker;  // per-iteration max across workers
+    for (std::size_t w = 0; w < workers; ++w) {
+      iteration.add_counters(worker_stats[w]);
+      slowest_worker.merge_max(worker_phases[w]);
+    }
+    // Wall-clock: workers run concurrently, so the iteration costs the
+    // slowest worker's time.
+    phases.merge(slowest_worker);
   }
-  // SMP: workers steal adaptive batches off a shared cursor (survivor
-  // density is wildly skewed across the pair space; static per-thread
-  // sub-slices idled every worker but the unluckiest), all probing against
-  // one shared set of per-iteration engine tables.  Thread-local results
-  // are merged and deduped like the cross-rank merge (distinct batches can
-  // still produce the same candidate).
-  const std::size_t workers = pool->size();
-  PairGenTables<Scalar, Support> tables(columns, row, cls.positive,
-                                        cls.negative, cls.zero, rank);
-  std::vector<IterationStats> worker_stats(workers);
-  std::vector<PhaseTimer> worker_phases(workers);
-  std::vector<std::vector<FluxColumn<Scalar, Support>>> worker_accepted(
-      workers);
-  // Batches small enough to balance a skewed tail, large enough that the
-  // per-batch engine setup (a cursor, no tables) stays noise.
-  constexpr std::uint64_t kMinGrain = 4096;
-  parallel_for_dynamic(
-      *pool, range.count(), kMinGrain,
-      [&](int t, std::uint64_t sub_begin, std::uint64_t sub_end) {
-        const auto w = static_cast<std::size_t>(t);
-        process_pair_range(columns, row, cls, rank, range.begin + sub_begin,
-                           range.begin + sub_end, options.block_ref_cap,
-                           make_test(w), worker_stats[w],
-                           worker_phases[w], worker_accepted[w], &tables);
-      });
-  PhaseTimer slowest_worker;  // per-iteration max across workers
-  for (std::size_t w = 0; w < workers; ++w) {
-    iteration.add_counters(worker_stats[w]);
-    slowest_worker.merge_max(worker_phases[w]);
-    accepted.insert(accepted.end(),
-                    std::make_move_iterator(worker_accepted[w].begin()),
-                    std::make_move_iterator(worker_accepted[w].end()));
-  }
-  // Wall-clock: workers run concurrently, so the iteration costs the
-  // slowest worker's time.
-  phases.merge(slowest_worker);
-  ScopedPhase phase(phases, Phase::kMerge);
-  sort_and_dedup(accepted, iteration);
+  table.deliver(make_test(0), iteration, phases, accepted);
 }
 
 /// The one iteration loop over a replicated matrix: Algorithm 1 as given,
@@ -317,7 +313,7 @@ SolveResult<Scalar, Support> solve_nullspace(
 
     // GenerateEFMCands + Sort&RemoveDuplicates + the per-candidate
     // elementarity test over this rank's contiguous pair slice (the whole
-    // pair space when serial), in bounded-memory blocks.  The test is
+    // pair space when serial), through one support table.  The test is
     // per-candidate local — that is what makes Algorithm 2's distribution
     // work.
     Columns candidates;

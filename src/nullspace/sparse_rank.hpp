@@ -64,7 +64,6 @@ namespace elmo {
 /// the run ledger).
 struct RankEngineStats {
   std::uint64_t tests = 0;
-  std::uint64_t sparse_hits = 0;       // served by the sparse paths
   std::uint64_t warmstart_reuses = 0;  // K-side tests that reused the cache
   std::uint64_t gathered_nnz = 0;      // entries gathered across all tests
 };
@@ -277,14 +276,12 @@ class SparseRankTester {
     if (side == RankTestSide::kAuto) {
       side = est_n <= est_k ? RankTestSide::kNSide : RankTestSide::kKSide;
     }
-    ++stats_.sparse_hits;
     return side == RankTestSide::kNSide ? test_n_side(d)
                                         : test_k_side(s, warm);
   }
 
   /// Move the counters accumulated since the last drain into `iteration`.
   void drain_stats(IterationStats& iteration) {
-    iteration.rank_sparse_hits += stats_.sparse_hits;
     iteration.rank_warmstart_reuses += stats_.warmstart_reuses;
     iteration.rank_gathered_nnz += stats_.gathered_nnz;
     stats_ = RankEngineStats{};

@@ -4,22 +4,26 @@
 // Under governor pressure (or in spill-always degrade mode) an iteration's
 // candidate generation runs in engine-index chunks; each chunk's accepted
 // columns are serialized into a checksummed spill block and dropped from
-// memory, then every block streams back for the merge pass.  Cross-chunk
-// duplicate supports survive until the final sort_and_dedup — exactly the
-// mechanism Algorithm 2 already uses to dedup across ranks, so the final
-// column set is identical to the in-memory path (equal-support candidates
-// are value-identical, see iteration.hpp).
+// memory, then every block streams back for the merge pass.  Every chunk
+// offers its refs to the iteration's one SupportTable (iteration.hpp),
+// which keeps the accepted supports resident: a support is delivered
+// once, in its first chunk, so the blocks never repeat a support and the
+// merge pass is a sort.  The final column set and its order equal the
+// in-memory path's.  So do the counts, unless the table had to drop
+// rejected supports to stay inside its share of the headroom: a dropped
+// support offered again is rank-tested again.
 //
 // A spill block is the column codec's body (put_columns,
 // nullspace/flux_column.hpp: supports and values, the same bytes an mpsim
 // message carries before its CRC tail) inside one SpillFile frame.
 #pragma once
 
+#include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "nullspace/flux_column.hpp"
 #include "nullspace/iteration.hpp"
-#include "nullspace/pairgen.hpp"
 #include "nullspace/stats.hpp"
 #include "resource/governor.hpp"
 #include "resource/spill.hpp"
@@ -40,30 +44,18 @@ struct SpillPolicy {
   [[nodiscard]] bool active() const { return enabled || always; }
 };
 
-/// process_pair_range with out-of-core accepted candidates: runs the engine
-/// range in chunks, spilling each chunk's accepted columns, then streams
-/// every block back into `accepted_out` and removes cross-chunk duplicate
-/// supports.  `stats.accepted` is corrected so it counts the columns
-/// actually delivered, exactly as the in-memory path would.  Returns the
+/// Offer engine range [begin, end) to `table` in chunks, spilling each
+/// chunk's accepted columns, then stream every block back into
+/// `accepted_out` in support order.  The table dedups across chunks, so
+/// the blocks hold distinct supports and need only a sort.  Returns the
 /// body bytes spilled.
 template <typename Scalar, typename Support, typename TestFn>
 std::uint64_t process_pair_range_spilled(
-    const std::vector<FluxColumn<Scalar, Support>>& columns, std::size_t row,
-    const RowClassification& cls, std::size_t rank, std::uint64_t begin,
+    SupportTable<Scalar, Support>& table, std::uint64_t begin,
     std::uint64_t end, std::size_t ref_cap, const TestFn& is_elementary,
     IterationStats& stats, PhaseTimer& phases,
     std::vector<FluxColumn<Scalar, Support>>& accepted_out,
     const SpillPolicy& policy) {
-  if (cls.positive.empty() || cls.negative.empty() || begin >= end) {
-    stats.pairs_probed += (begin < end) ? end - begin : 0;
-    return 0;
-  }
-  const auto tables = [&] {
-    ScopedPhase phase(phases, Phase::kGenCand);
-    return PairGenTables<Scalar, Support>(columns, row, cls.positive,
-                                          cls.negative, cls.zero, rank);
-  }();
-
   resource::SpillFile spill(policy.directory);
   resource::MemoryLease candidate_lease(resource::Subsystem::kCandidates);
   std::vector<FluxColumn<Scalar, Support>> chunk_accepted;
@@ -82,24 +74,27 @@ std::uint64_t process_pair_range_spilled(
   std::size_t resident_bytes = 0;
   for (std::uint64_t at = begin; at < end; at += chunk_pairs) {
     const std::uint64_t stop = std::min<std::uint64_t>(end, at + chunk_pairs);
-    process_pair_range(columns, row, cls, rank, at, stop, ref_cap,
-                       is_elementary, stats, phases, chunk_accepted, &tables);
+    // Under a governor limit, the headroom is what --mem-limit leaves
+    // after everything but the table and the resident chunk (matrix
+    // replicas, sibling ranks).  The table may fill half of it before it
+    // drops rejected supports; the resident chunk is flushed at half of
+    // what the table leaves.
+    std::size_t headroom = std::numeric_limits<std::size_t>::max();
+    if (governor.enabled()) {
+      const std::size_t own = table.bytes() + resident_bytes;
+      const std::size_t others =
+          governor.usage() - std::min(governor.usage(), own);
+      headroom = governor.limit() - std::min(governor.limit(), others);
+    }
+    table.offer(at, stop, is_elementary, stats, phases, headroom / 2);
+    table.deliver(is_elementary, stats, phases, chunk_accepted);
     resident_bytes = matrix_storage_bytes(chunk_accepted);
     candidate_lease.set(resident_bytes);
-    // Flush threshold: the configured block size, tightened under a
-    // governor limit so the resident chunk never eats more than half of
-    // whatever headroom the rest of the process (matrix replicas, sibling
-    // ranks) has left under --mem-limit.
-    std::size_t flush_bytes = kSpillBlockBytes;
-    if (governor.enabled()) {
-      const std::size_t others =
-          governor.usage() - std::min(governor.usage(), resident_bytes);
-      const std::size_t headroom =
-          governor.limit() - std::min(governor.limit(), others);
-      flush_bytes = std::min(
-          flush_bytes, std::max<std::size_t>(std::size_t{4} << 10,
-                                             headroom / 2));
-    }
+    const std::size_t flush_bytes = std::min(
+        kSpillBlockBytes,
+        std::max<std::size_t>(std::size_t{4} << 10,
+                              (headroom - std::min(headroom, table.bytes())) /
+                                  2));
     if (!chunk_accepted.empty() &&
         (policy.always || resident_bytes >= flush_bytes)) {
       ScopedPhase phase(phases, Phase::kMerge);
@@ -115,9 +110,9 @@ std::uint64_t process_pair_range_spilled(
   }
 
   {
-    // Stream every spilled block back and fold in the resident tail, then
-    // drop cross-chunk duplicate supports (the paper's
-    // Sort&RemoveDuplicates, as used across Algorithm 2's ranks).
+    // Stream every spilled block back and fold in the resident tail.
+    // Each chunk was delivered in support order; one sort restores it
+    // across chunks.
     ScopedPhase phase(phases, Phase::kMerge);
     std::vector<FluxColumn<Scalar, Support>> merged;
     spill.for_each_block([&](std::vector<std::uint8_t>&& body) {
@@ -125,11 +120,7 @@ std::uint64_t process_pair_range_spilled(
     });
     for (auto& column : chunk_accepted) merged.push_back(std::move(column));
     chunk_accepted.clear();
-    const std::size_t before = merged.size();
-    sort_and_dedup(merged, stats);
-    // accepted counted every chunk's acceptances, including cross-chunk
-    // duplicates the dedup just removed; settle it to the delivered count.
-    stats.accepted -= before - merged.size();
+    std::sort(merged.begin(), merged.end());
     candidate_lease.set(matrix_storage_bytes(merged));
     accepted_out.reserve(accepted_out.size() + merged.size());
     for (auto& column : merged) accepted_out.push_back(std::move(column));

@@ -30,7 +30,6 @@ struct IterationStats {
   std::uint64_t spilled_bytes = 0;
   /// Sparse rank-test engine counters (nullspace/sparse_rank.hpp), drained
   /// from each driver's engine once per iteration.
-  std::uint64_t rank_sparse_hits = 0;       // tests served by sparse paths
   std::uint64_t rank_warmstart_reuses = 0;  // tests reusing the warm cache
   std::uint64_t rank_gathered_nnz = 0;      // entries gathered in total
 
@@ -43,7 +42,6 @@ struct IterationStats {
     rank_tests += other.rank_tests;
     accepted += other.accepted;
     spilled_bytes += other.spilled_bytes;
-    rank_sparse_hits += other.rank_sparse_hits;
     rank_warmstart_reuses += other.rank_warmstart_reuses;
     rank_gathered_nnz += other.rank_gathered_nnz;
   }
@@ -58,7 +56,6 @@ struct SolveStats {
   /// Candidate bytes that went out-of-core under memory pressure (sum over
   /// iterations; the governed-run ledger for report.json).
   std::uint64_t total_spilled_bytes = 0;
-  std::uint64_t total_rank_sparse_hits = 0;
   std::uint64_t total_rank_warmstart_reuses = 0;
   std::uint64_t total_rank_gathered_nnz = 0;
   /// Never written: the solver has no popcount prune and no dense rank
@@ -91,7 +88,6 @@ struct SolveStats {
     total_accepted += it.accepted;
     total_duplicates_removed += it.duplicates_removed;
     total_spilled_bytes += it.spilled_bytes;
-    total_rank_sparse_hits += it.rank_sparse_hits;
     total_rank_warmstart_reuses += it.rank_warmstart_reuses;
     total_rank_gathered_nnz += it.rank_gathered_nnz;
     peak_columns = std::max<std::uint64_t>(peak_columns, it.columns_after);
@@ -108,7 +104,6 @@ struct SolveStats {
     total_accepted += other.total_accepted;
     total_duplicates_removed += other.total_duplicates_removed;
     total_spilled_bytes += other.total_spilled_bytes;
-    total_rank_sparse_hits += other.total_rank_sparse_hits;
     total_rank_warmstart_reuses += other.total_rank_warmstart_reuses;
     total_rank_gathered_nnz += other.total_rank_gathered_nnz;
     peak_columns = std::max(peak_columns, other.peak_columns);
@@ -163,8 +158,6 @@ inline void publish_iteration_metrics(const IterationStats& it) {
   static const obs::Counter accepted = registry.counter("solver.accepted");
   static const obs::Counter duplicates =
       registry.counter("solver.duplicates_removed");
-  static const obs::Counter rank_sparse =
-      registry.counter("solver.rank_sparse_hits");
   static const obs::Counter rank_warm =
       registry.counter("solver.rank_warmstart_reuses");
   static const obs::Histogram iteration_pairs =
@@ -176,7 +169,6 @@ inline void publish_iteration_metrics(const IterationStats& it) {
   rank_tests.add(it.rank_tests);
   accepted.add(it.accepted);
   duplicates.add(it.duplicates_removed);
-  rank_sparse.add(it.rank_sparse_hits);
   rank_warm.add(it.rank_warmstart_reuses);
   iteration_pairs.observe(it.pairs_probed);
   columns.set(it.columns_after);

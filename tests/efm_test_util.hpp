@@ -168,7 +168,6 @@ inline std::map<std::string, std::uint64_t> solve_totals(
       {"accepted", stats.total_accepted},
       {"duplicates_removed", stats.total_duplicates_removed},
       {"spilled_bytes", stats.total_spilled_bytes},
-      {"rank_sparse_hits", stats.total_rank_sparse_hits},
       {"rank_warmstart_reuses", stats.total_rank_warmstart_reuses},
       {"rank_gathered_nnz", stats.total_rank_gathered_nnz},
   };

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "compress/compression.hpp"
+#include "core/api.hpp"
 #include "core/combinatorial_parallel.hpp"
 #include "efm_test_util.hpp"
+#include "models/ecoli_core.hpp"
 #include "models/random_network.hpp"
 #include "models/toy.hpp"
 #include "models/yeast.hpp"
@@ -51,6 +53,46 @@ TEST(Hybrid, PairCountConservedAcrossSmpModes) {
   }
 }
 
+/// Every SMP worker of a rank offers to the iteration's one support table,
+/// so the rank tests, the duplicates and the result must not depend on the
+/// worker count: Algorithm 2 at one and four ranks, Algorithm 3 with
+/// qsub 2 on four ranks, at 1, 2 and 4 threads per rank.
+void expect_worker_count_invariant(const Network& net,
+                                   const std::string& name) {
+  struct Run {
+    const char* label;
+    Algorithm algorithm;
+    int ranks;
+  };
+  for (const Run run : {Run{"alg2 x1", Algorithm::kCombinatorialParallel, 1},
+                        Run{"alg2 x4", Algorithm::kCombinatorialParallel, 4},
+                        Run{"alg3 x4", Algorithm::kCombined, 4}}) {
+    EfmOptions options;
+    options.algorithm = run.algorithm;
+    options.num_ranks = run.ranks;
+    options.qsub = 2;
+    auto one = compute_efms(net, options);
+    for (int threads : {2, 4}) {
+      options.threads_per_rank = threads;
+      auto many = compute_efms(net, options);
+      const std::string where = name + " " + run.label + " threads " +
+                                std::to_string(threads);
+      EXPECT_EQ(many.stats.total_rank_tests, one.stats.total_rank_tests)
+          << where;
+      EXPECT_EQ(many.stats.total_duplicates_removed,
+                one.stats.total_duplicates_removed)
+          << where;
+      EXPECT_EQ(many.stats.total_accepted, one.stats.total_accepted) << where;
+      EXPECT_EQ(many.modes, one.modes) << where;
+    }
+  }
+}
+
+TEST(Hybrid, WorkerCountDoesNotMoveRankTests) {
+  expect_worker_count_invariant(models::toy_network(), "toy");
+  expect_worker_count_invariant(models::ecoli_core(), "ecoli");
+}
+
 TEST(Hybrid, RandomNetworksAgree) {
   for (std::uint64_t seed = 30; seed < 38; ++seed) {
     models::RandomNetworkSpec spec;
@@ -70,6 +112,7 @@ TEST(Hybrid, RandomNetworksAgree) {
     EXPECT_EQ(expand_and_canonicalize(result.columns, compressed, net),
               serial)
         << "seed " << seed;
+    expect_worker_count_invariant(net, "seed " + std::to_string(seed));
   }
 }
 

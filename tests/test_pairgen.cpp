@@ -28,6 +28,8 @@
 #include "nullspace/rank_test.hpp"
 #include "nullspace/reversible_split.hpp"
 #include "nullspace/sparse_rank.hpp"
+#include "nullspace/solver.hpp"
+#include "resource/governor.hpp"
 #include "support/random.hpp"
 
 namespace elmo {
@@ -372,41 +374,100 @@ TEST(PairGenResume, EmptyAndDegenerateRanges) {
       InvalidArgumentError);
 }
 
-TEST(ProcessPairRange, SharedTablesMatchLocalTables) {
-  // The dynamic scheduler fans worker ranges out against one shared table
-  // set; the result must match per-call local tables.
-  auto columns = random_columns<DynBitset>(100, 90, 6, 51);
+TEST(ProcessPairRange, OneTableAcrossSubRangesMatchesOneRange) {
+  // SMP workers and spill chunks offer sub-ranges to one shared support
+  // table, in any order: the result and every count must match one
+  // process_pair_range over the whole range.
+  // Ten reactions: supports collide often, so winners and duplicates are
+  // exercised.  Random columns are not proportional, so a winner other
+  // than the lowest engine index would change the delivered values.
+  auto columns = random_columns<DynBitset>(100, 10, 4, 51);
   RowClassification cls;
-  const std::size_t row = busiest_row(columns, 90, &cls);
-  Matrix<CheckedI64> n = Matrix<CheckedI64>::from_rows(
-      {{1, -1, 0, 0, 0, 0}, {0, 1, -1, 0, 0, 0}, {0, 0, 1, -1, 1, -1}});
-  // A permissive oracle keeps plenty of accepted columns in play.
-  auto accept_all = [](const DynBitset&) { return true; };
-
-  auto run = [&](const PairGenTables<CheckedI64, DynBitset>* shared) {
-    IterationStats stats;
-    PhaseTimer phases;
-    std::vector<FluxColumn<CheckedI64, DynBitset>> accepted;
-    const std::uint64_t total = cls.pair_count();
-    const std::uint64_t third = total / 3;
-    for (std::uint64_t b : {std::uint64_t{0}, third, 2 * third}) {
-      const std::uint64_t e = (b == 2 * third) ? total : b + third;
-      process_pair_range(columns, row, cls, /*rank=*/9, b, e,
-                         /*ref_cap=*/64, accept_all, stats, phases, accepted,
-                         shared);
-    }
-    std::sort(accepted.begin(), accepted.end());
-    return std::pair(std::move(accepted), stats);
+  const std::size_t row = busiest_row(columns, 10, &cls);
+  // A support-only oracle that rejects about half the supports.
+  auto even = [](const DynBitset& support) {
+    return support.count() % 2 == 0;
   };
+  const std::uint64_t total = cls.pair_count();
+  const std::size_t ref_cap = std::size_t{1} << 20;
+
+  IterationStats whole;
+  PhaseTimer phases;
+  std::vector<FluxColumn<CheckedI64, DynBitset>> want;
+  process_pair_range(columns, row, cls, /*rank=*/9, 0, total, ref_cap, even,
+                     whole, phases, want);
 
   PairGenTables<CheckedI64, DynBitset> tables(columns, row, cls.positive,
                                               cls.negative, cls.zero, 9);
-  auto [shared_accepted, shared_stats] = run(&tables);
-  auto [local_accepted, local_stats] = run(nullptr);
-  EXPECT_EQ(shared_accepted, local_accepted);
-  EXPECT_EQ(shared_stats.pairs_probed, local_stats.pairs_probed);
-  EXPECT_EQ(shared_stats.accepted, local_stats.accepted);
-  EXPECT_EQ(shared_stats.pairs_probed, cls.pair_count());
+  SupportTable<CheckedI64, DynBitset> table(tables, ref_cap);
+  IterationStats parts;
+  const std::uint64_t third = total / 3;
+  for (std::uint64_t b : {2 * third, std::uint64_t{0}, third}) {
+    const std::uint64_t e = (b == 2 * third) ? total : b + third;
+    table.offer(b, e, even, parts, phases);
+  }
+  std::vector<FluxColumn<CheckedI64, DynBitset>> got;
+  table.deliver(even, parts, phases, got);
+
+  EXPECT_EQ(got, want);
+  EXPECT_TRUE(std::is_sorted(want.begin(), want.end()));
+  EXPECT_GT(whole.accepted, 0u);
+  EXPECT_GT(whole.rank_tests, whole.accepted);
+  EXPECT_GT(whole.duplicates_removed, 0u);
+  EXPECT_EQ(parts.pairs_probed, total);
+  EXPECT_EQ(parts.pairs_probed, whole.pairs_probed);
+  EXPECT_EQ(parts.rank_tests, whole.rank_tests);
+  EXPECT_EQ(parts.duplicates_removed, whole.duplicates_removed);
+  EXPECT_EQ(parts.accepted, whole.accepted);
+}
+
+TEST(ProcessPairRange, GovernedTableDropsRejectedSupportsWithinTheLimit) {
+  // An iteration whose rejected supports alone outgrow the memory limit.
+  // The governed chunk driver's table drops them once it passes its share
+  // of the headroom, so the ledger stays inside the limit, and the columns
+  // equal the in-memory driver's.  A dropped support offered again is
+  // rank-tested again: rank tests grow by exactly what duplicates_removed
+  // loses.
+  auto columns = random_columns<DynBitset>(700, 24, 6, 77);
+  RowClassification cls;
+  const std::size_t row = busiest_row(columns, 24, &cls);
+  auto rare = [](const DynBitset& support) {
+    return support.count() % 7 == 0;
+  };
+  const std::uint64_t total = cls.pair_count();
+  const std::size_t ref_cap = std::size_t{1} << 20;
+  auto& governor = resource::MemoryGovernor::global();
+  governor.reset();
+
+  IterationStats whole;
+  PhaseTimer phases;
+  std::vector<FluxColumn<CheckedI64, DynBitset>> want;
+  process_pair_range(columns, row, cls, /*rank=*/23, 0, total, ref_cap, rare,
+                     whole, phases, want);
+  const std::size_t ungoverned_peak = governor.peak_usage();
+
+  governor.reset();
+  const std::size_t limit = ungoverned_peak / 2;
+  governor.set_limit(limit);
+  PairGenTables<CheckedI64, DynBitset> tables(columns, row, cls.positive,
+                                              cls.negative, cls.zero, 23);
+  IterationStats governed;
+  std::vector<FluxColumn<CheckedI64, DynBitset>> got;
+  {
+    SupportTable<CheckedI64, DynBitset> table(tables, ref_cap);
+    process_pair_range_spilled(
+        table, 0, total, ref_cap, rare, governed, phases, got,
+        SpillPolicy{.enabled = true, .directory = ::testing::TempDir()});
+  }
+  const std::size_t governed_peak = governor.peak_usage();
+  governor.reset();
+
+  EXPECT_LE(governed_peak, limit);
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(governed.accepted, whole.accepted);
+  EXPECT_GT(governed.rank_tests, whole.rank_tests);
+  EXPECT_EQ(governed.rank_tests + governed.duplicates_removed,
+            whole.rank_tests + whole.duplicates_removed);
 }
 
 }  // namespace

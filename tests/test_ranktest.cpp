@@ -82,7 +82,6 @@ TEST(SparseRankTester, MatchesExactOnYeastBoundarySupports) {
         << "iter " << iter;
   }
   EXPECT_GT(sparse.stats().tests, 0u);
-  EXPECT_EQ(sparse.stats().tests, sparse.stats().sparse_hits);
 }
 
 TEST(SparseRankTester, ForcedSidesAgreeWithExact) {
@@ -324,7 +323,6 @@ TEST(SparseRankTester, DrainStatsMovesAndResets) {
   EXPECT_GT(before.tests, 0u);
   IterationStats iteration;
   sparse.drain_stats(iteration);
-  EXPECT_EQ(iteration.rank_sparse_hits, before.sparse_hits);
   EXPECT_EQ(iteration.rank_gathered_nnz, before.gathered_nnz);
   EXPECT_EQ(sparse.stats().tests, 0u);
   EXPECT_EQ(sparse.stats().gathered_nnz, 0u);
@@ -359,7 +357,6 @@ TEST(SparseRankTester, SolverMatchesExhaustiveOracle) {
   auto solved = solve_efms<CheckedI64, Bitset64>(problem);
   EXPECT_EQ(expand_and_canonicalize(solved.columns, compressed, net),
             exhaustive_efms(net));
-  EXPECT_GT(solved.stats.total_rank_sparse_hits, 0u);
 
   for (std::uint64_t seed = 80; seed < 92; ++seed) {
     models::RandomNetworkSpec spec;

@@ -231,6 +231,28 @@ TEST(Spill, SpillAlwaysSolveIsBitIdenticalToInMemory) {
   EXPECT_EQ(spilled.modes, baseline.modes);
   EXPECT_GT(spilled.spill_blocks, 0u);
   EXPECT_GT(spilled.spill_bytes, 0u);
+  EXPECT_EQ(spilled.stats.total_rank_tests, baseline.stats.total_rank_tests);
+  EXPECT_EQ(spilled.stats.total_duplicates_removed,
+            baseline.stats.total_duplicates_removed);
+}
+
+TEST(Spill, ChunkedGovernedSolveTestsEachSupportOnce) {
+  // A governed run drives candidate generation in 512-pair chunks; every
+  // chunk offers to the iteration's one support table, so the chunking
+  // must not add rank tests or lose duplicates.
+  Network net = models::ecoli_core();
+  auto baseline = compute_efms(net);
+
+  EfmOptions governed;
+  governed.mem_limit_bytes = 4'000'000;
+  governed.spill.directory = ::testing::TempDir();
+  auto chunked = compute_efms(net, governed);
+
+  EXPECT_EQ(chunked.modes, baseline.modes);
+  EXPECT_EQ(chunked.stats.total_rank_tests, baseline.stats.total_rank_tests);
+  EXPECT_EQ(chunked.stats.total_duplicates_removed,
+            baseline.stats.total_duplicates_removed);
+  EXPECT_EQ(chunked.stats.total_accepted, baseline.stats.total_accepted);
 }
 
 TEST(Spill, GovernedSolveCompletesSpillsAndMatches) {
